@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-chaos bench bench-kernel bench-kernel-check \
-	reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
+	bench-e2e bench-e2e-smoke reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
 	serve-recovery-smoke fleet-smoke test-service test-fleet examples clean
 
 SMOKE_DIR ?= .smoke
@@ -53,6 +53,27 @@ bench-kernel-check: bench-kernel
 		--control test_trace_generation_throughput \
 		--max-ratio \
 		'test_kernel_cycle_throughput[vector]/test_kernel_cycle_throughput[python]=0.2'
+
+# End-to-end benchmark (see bench_e2e/README.md): both gated workloads
+# at their full run length.  run.py always exits 0, so each run's last
+# output line (one JSON object) is parsed and the target fails unless it
+# reports "correct": true — any output drift against bench_e2e/pins.json
+# fails here.
+BENCH_E2E = python3 bench_e2e/run.py
+BENCH_E2E_CORRECT = tail -n 1 | $(PYTHON) -c 'import json, sys; \
+	line = sys.stdin.read(); print(line, end=""); \
+	sys.exit(0 if json.loads(line or "{}").get("correct") is True else 1)'
+
+bench-e2e:
+	$(BENCH_E2E) --workload paper-sweep | $(BENCH_E2E_CORRECT)
+	$(BENCH_E2E) --workload live-strikes | $(BENCH_E2E_CORRECT)
+
+# The same checks at one second per workload, plus the traced per-layer
+# run (which must reproduce the untraced outputs byte for byte).
+bench-e2e-smoke:
+	$(BENCH_E2E) --workload paper-sweep --seconds 1 | $(BENCH_E2E_CORRECT)
+	$(BENCH_E2E) --workload live-strikes --seconds 1 | $(BENCH_E2E_CORRECT)
+	$(BENCH_E2E) --trace 1 | $(BENCH_E2E_CORRECT)
 
 reproduce:
 	$(PYTHON) -m repro.cli reproduce --out reproduction

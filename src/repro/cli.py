@@ -377,7 +377,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                              f"known: {sorted(ARTEFACTS)}")
 
     def progress(name: str, elapsed: float) -> None:
-        print(f"  {name:<28} {elapsed:6.1f}s")
+        print(f"  {name:<28} {elapsed:6.1f}s render")
 
     cache = _cache_from_args(args)
     supervisor = _supervisor_from_args(args, "reproduce")

@@ -5,15 +5,14 @@ simulations go through.  It memoises in memory (so figures sharing runs —
 1↔2, 6↔7↔8 — never repeat them within a process) and, when given a
 ``cache_dir``, persists every :class:`SimResult` to disk keyed by a stable
 content hash of the full (machine config, sim config, workload, policy)
-tuple, so repeated CLI invocations skip simulation entirely.  Entries carry
-a schema version; stale or corrupt files are invalidated (deleted and
-recomputed), never misread.
+tuple, so repeated CLI invocations skip simulation entirely.  Entries are
+checksummed envelopes in the shared content store (:mod:`repro.store`):
+stale or corrupt files are deleted or quarantined and recomputed, never
+misread.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,6 +23,14 @@ from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError, MissingResultError
 from repro.sim.results import SimResult
 from repro.sim.simulator import simulate
+from repro.store import (
+    atomic_write,
+    canonical_bytes,
+    open_dir,
+    read_entry,
+    stable_digest,
+    write_entry,
+)
 from repro.workload.mixes import WorkloadMix, mixes_for
 
 #: Environment knob for benchmark runs: per-thread instruction budget.
@@ -132,44 +139,13 @@ def job_key(config: MachineConfig, sim: SimConfig,
     }
 
 
-def stable_digest(payload: Dict[str, object]) -> str:
-    """Content hash of a JSON-safe dict, stable across processes/sessions."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def atomic_write_json(path: Path, entry: Dict[str, object]) -> None:
-    """Write-then-rename so concurrent writers (parallel runs sharing a
-    cache dir) never expose a half-written entry.
+    """Publish one JSON document atomically, as canonical bytes.
 
-    The temporary file is removed even when the write or rename is
-    interrupted (disk full, kill signal escaping as an exception) — a
-    crashed run must not litter the cache with ``.tmp<pid>`` orphans.
+    The cache itself writes through :func:`repro.store.write_entry`; this
+    stays a public name because ``bench_e2e/traced.py`` times it.
     """
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        try:
-            tmp.unlink()  # gone already after a successful replace
-        except OSError:
-            pass
-
-
-def sweep_tmp_orphans(cache_dir: Path) -> int:
-    """Delete ``*.tmp*`` orphans a crashed writer left behind; returns the
-    count.  Called when a cache directory is opened: any temp file present
-    then belongs to a writer that died between write and rename (live
-    writers hold theirs for milliseconds during an atomic publish)."""
-    removed = 0
-    for orphan in cache_dir.glob("*.tmp*"):
-        try:
-            orphan.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed
+    atomic_write(path, canonical_bytes(entry))
 
 
 class ResultCache:
@@ -188,10 +164,7 @@ class ResultCache:
     def __init__(self, config: Optional[MachineConfig] = None,
                  cache_dir: Optional[Union[str, Path]] = None) -> None:
         self.config = config or DEFAULT_CONFIG
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            sweep_tmp_orphans(self.cache_dir)
+        self.cache_dir = open_dir(cache_dir) if cache_dir is not None else None
         self._mem: Dict[str, SimResult] = {}
         self.failed: Dict[str, str] = {}
         self.simulated = 0
@@ -239,7 +212,10 @@ class ResultCache:
         if hit is not None:
             self.mem_hits += 1
             return hit
-        result = self._load(digest)
+        if self.cache_dir is None:
+            return None
+        result = read_entry(self._path(digest), CACHE_SCHEMA_VERSION,
+                            SimResult.from_payload)
         if result is not None:
             self.disk_hits += 1
             self._mem[digest] = result
@@ -253,7 +229,8 @@ class ResultCache:
         """
         self._mem[digest] = result
         if self.cache_dir is not None and result.phase_series is None:
-            self._store(digest, result)
+            write_entry(self._path(digest), result.to_payload(),
+                        CACHE_SCHEMA_VERSION)
 
     def mark_failed(self, digest: str, label: str) -> None:
         """Record that a supervised job failed permanently.
@@ -270,43 +247,8 @@ class ResultCache:
         """Drop the in-memory memo (on-disk entries are left alone)."""
         self._mem.clear()
 
-    # -- disk layer ----------------------------------------------------------------
-
     def _path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.json"
-
-    def _load(self, digest: str) -> Optional[SimResult]:
-        if self.cache_dir is None:
-            return None
-        path = self._path(digest)
-        try:
-            entry = json.loads(path.read_text())
-        except OSError:
-            return None
-        except ValueError:
-            self._invalidate(path)
-            return None
-        if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA_VERSION:
-            self._invalidate(path)
-            return None
-        try:
-            return SimResult.from_payload(entry["result"])
-        except (KeyError, TypeError, ValueError):
-            self._invalidate(path)
-            return None
-
-    def _store(self, digest: str, result: SimResult) -> None:
-        path = self._path(digest)
-        entry = {"schema": CACHE_SCHEMA_VERSION, "result": result.to_payload()}
-        atomic_write_json(path, entry)
-
-    @staticmethod
-    def _invalidate(path: Path) -> None:
-        """Delete a stale/corrupt entry so it cannot be misread later."""
-        try:
-            path.unlink()
-        except OSError:
-            pass
 
 
 #: Process-wide cache shared by all figure modules (and hence by the

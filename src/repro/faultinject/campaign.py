@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, auto
 from pathlib import Path
@@ -18,6 +15,7 @@ from repro.errors import ReproError
 from repro.fetch.base import FetchPolicy
 from repro.fetch.registry import create_policy
 from repro.sim.session import SimSession
+from repro.store import open_dir, read_entry, stable_digest, write_entry
 from repro.workload.mixes import TABLE2_MIXES, WorkloadMix
 
 #: Structures the campaign can inject into (interval-logged pipeline state).
@@ -172,10 +170,8 @@ class ClassifyTask:
         return f"classify/{self.structure.value}"
 
     def digest(self) -> str:
-        blob = json.dumps([self.structure.value, self.strike_cycles,
-                           self.strike_slots, self.intervals, self.cycles],
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return stable_digest([self.structure.value, self.strike_cycles,
+                              self.strike_slots, self.intervals, self.cycles])
 
     def run(self) -> Dict[str, object]:
         ace_at, occ_at = _occupancy_timelines([list(self.intervals)],
@@ -213,11 +209,6 @@ def _campaign_sim(base_sim: SimConfig) -> SimConfig:
 
 
 # -- persistent campaign cache ---------------------------------------------------
-
-
-def _campaign_digest(key: Dict[str, object]) -> str:
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _campaign_key(name: str, programs: Sequence[str], policy_name: str,
@@ -275,42 +266,6 @@ def _campaign_from_payload(payload: Dict[str, object]) -> InjectionCampaignResul
     return result
 
 
-def _load_campaign(path: Path) -> Optional[InjectionCampaignResult]:
-    try:
-        entry = json.loads(path.read_text())
-    except OSError:
-        return None
-    except ValueError:
-        entry = None
-    if (not isinstance(entry, dict)
-            or entry.get("schema") != CAMPAIGN_SCHEMA_VERSION):
-        try:
-            path.unlink()  # stale/corrupt: invalidate, never misread
-        except OSError:
-            pass
-        return None
-    return _campaign_from_payload(entry["result"])
-
-
-def _store_campaign(path: Path, result: InjectionCampaignResult) -> None:
-    from repro.experiments.runner import atomic_write_json
-
-    entry = {"schema": CAMPAIGN_SCHEMA_VERSION,
-             "result": _campaign_payload(result)}
-    atomic_write_json(path, entry)
-
-
-def _open_campaign_cache(cache_dir: Union[str, Path]) -> Path:
-    """Create/clean the campaign cache dir (sweeping crashed writers'
-    ``.tmp<pid>`` orphans, same discipline as the result cache)."""
-    from repro.experiments.runner import sweep_tmp_orphans
-
-    cache_root = Path(cache_dir)
-    cache_root.mkdir(parents=True, exist_ok=True)
-    sweep_tmp_orphans(cache_root)
-    return cache_root
-
-
 def run_campaign(workload: Union[WorkloadMix, Sequence[str]],
                  injections: int = 2000,
                  structures: Sequence[Structure] = INJECTABLE,
@@ -351,9 +306,9 @@ def run_campaign(workload: Union[WorkloadMix, Sequence[str]],
             name,
             workload.programs if isinstance(workload, WorkloadMix) else workload,
             policy_obj.name, config, run_sim, injections, structures, seed)
-        cache_root = _open_campaign_cache(cache_dir)
-        cache_path = cache_root / f"campaign-{_campaign_digest(key)}.json"
-        cached = _load_campaign(cache_path)
+        cache_path = open_dir(cache_dir) / f"campaign-{stable_digest(key)}.json"
+        cached = read_entry(cache_path, CAMPAIGN_SCHEMA_VERSION,
+                            _campaign_from_payload)
         if cached is not None:
             return cached
 
@@ -421,7 +376,8 @@ def run_campaign(workload: Union[WorkloadMix, Sequence[str]],
         result.structures[structure] = campaign
 
     if cache_path is not None:
-        _store_campaign(cache_path, result)
+        write_entry(cache_path, _campaign_payload(result),
+                    CAMPAIGN_SCHEMA_VERSION)
     return result
 
 
@@ -467,7 +423,7 @@ class CampaignJob:
                              self.injections, self.structures, self.seed)
 
     def digest(self) -> str:
-        return _campaign_digest(self.key())
+        return stable_digest(self.key())
 
     def run(self) -> Dict[str, object]:
         result = run_campaign(self._workload(), injections=self.injections,
@@ -518,8 +474,7 @@ def run_campaign_supervised(
 
     cache_path: Optional[Path] = None
     if cache_dir is not None:
-        cache_path = (_open_campaign_cache(cache_dir)
-                      / f"campaign-{job.digest()}.json")
+        cache_path = open_dir(cache_dir) / f"campaign-{job.digest()}.json"
 
     collected: Dict[str, InjectionCampaignResult] = {}
 
@@ -527,12 +482,14 @@ def run_campaign_supervised(
         result = _campaign_from_payload(payload)
         collected[task.digest()] = result
         if cache_path is not None:
-            _store_campaign(cache_path, result)
+            write_entry(cache_path, _campaign_payload(result),
+                        CAMPAIGN_SCHEMA_VERSION)
 
     def already_done(task: CampaignJob) -> bool:
         if cache_path is None:
             return False
-        cached = _load_campaign(cache_path)
+        cached = read_entry(cache_path, CAMPAIGN_SCHEMA_VERSION,
+                            _campaign_from_payload)
         if cached is None:
             return False
         collected[task.digest()] = cached

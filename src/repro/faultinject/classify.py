@@ -38,11 +38,10 @@ golden (fault-free) run of the same workload:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, Tuple
 
 from repro.errors import HangDetected
+from repro.store import stable_digest
 
 
 class _StrikeIdle(Exception):
@@ -130,8 +129,7 @@ class DigestRecorder:
             "stores": self.tainted_stores,
             "pending": self.pending_taint,
         }
-        blob = json.dumps(payload, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return stable_digest(payload)
 
 
 class Watchdog:

@@ -38,8 +38,6 @@ misses even clusters, SECDED corrects 1 / detects 2 / misses 3.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -56,7 +54,6 @@ from repro.faultinject.campaign import (
     INJECTABLE,
     InjectionOutcome,
     StructureCampaign,
-    _open_campaign_cache,
 )
 from repro.faultinject.classify import (
     DigestRecorder,
@@ -68,6 +65,7 @@ from repro.metrics.reliability import wilson_interval
 from repro.protection import ProtectionConfig, ProtectionScheme
 from repro.protection.config import CoercibleProtection
 from repro.sim.session import SimSession, functional_warmup
+from repro.store import open_dir, read_entry, stable_digest, write_entry
 from repro.structures.strike import MbuConfig, burst_bits
 from repro.structures.strike import entry_bits as strike_entry_bits
 from repro.workload.mixes import TABLE2_MIXES, WorkloadMix
@@ -176,10 +174,8 @@ _GOLDEN_MEMO_CAP = 4
 
 def _golden_key(programs: Sequence[str], policy: str, config: MachineConfig,
                 sim: SimConfig) -> str:
-    blob = json.dumps({"programs": list(programs), "policy": policy,
-                       "machine": asdict(config), "sim": asdict(sim)},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return stable_digest({"programs": list(programs), "policy": policy,
+                          "machine": asdict(config), "sim": asdict(sim)})
 
 
 def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
@@ -611,8 +607,7 @@ class LiveBatchJob:
         return key
 
     def digest(self) -> str:
-        blob = json.dumps(self.key(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return stable_digest(self.key())
 
     def run(self) -> Dict[str, object]:
         workload = self._workload()
@@ -729,69 +724,40 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
     protection = ProtectionConfig.coerce(protection)
     mbu = mbu or MbuConfig()
     policy_name = policy if isinstance(policy, str) else policy.name
-    unsupported = [s for s in structures if s not in INJECTABLE]
-    if unsupported:
-        raise ReproError(f"cannot inject into {unsupported}; "
-                         f"supported: {list(INJECTABLE)}")
-    if injections < 0:
-        raise ReproError("injections must be >= 0")
     if jobs < 1:
         raise ReproError("jobs must be >= 1")
     unknown = [k for k in forced if k not in FORCED_KINDS]
     if unknown:
         raise ReproError(f"unknown forced kinds {unknown}; "
                          f"known: {list(FORCED_KINDS)}")
-
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
-    programs = tuple(workload.programs if isinstance(workload, WorkloadMix)
-                     else workload)
-    golden = golden_run(workload, policy_name, config, base_sim)
-
+    # Planning validates the structures and the strike count.
     jobs_list = plan_live_batches(workload, injections=injections,
                                   structures=structures, policy=policy_name,
                                   config=config, sim=base_sim, seed=seed,
                                   protection=protection, live=live, mbu=mbu)
 
-    cache_root: Optional[Path] = None
-    if cache_dir is not None:
-        cache_root = _open_campaign_cache(cache_dir)
+    name = (workload.name if isinstance(workload, WorkloadMix)
+            else "+".join(workload))
+    golden = golden_run(workload, policy_name, config, base_sim)
 
-    def cache_path(job: LiveBatchJob) -> Optional[Path]:
-        if cache_root is None:
-            return None
-        return cache_root / f"live-{job.digest()}.json"
+    cache_root = open_dir(cache_dir) if cache_dir is not None else None
 
     def load_cached(job: LiveBatchJob) -> Optional[Dict[str, object]]:
-        path = cache_path(job)
-        if path is None:
+        if cache_root is None:
             return None
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(entry, dict)
-                or entry.get("schema") != CAMPAIGN_SCHEMA_VERSION):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        try:
+
+        def decode(entry: Dict[str, object]) -> Dict[str, object]:
             job.validate(entry)
-        except Exception:
-            return None
-        return entry
+            return entry
+
+        return read_entry(cache_root / f"live-{job.digest()}.json",
+                          CAMPAIGN_SCHEMA_VERSION, decode)
 
     def store_cached(job: LiveBatchJob, payload: Dict[str, object]) -> None:
-        path = cache_path(job)
-        if path is None:
-            return
-        from repro.experiments.runner import atomic_write_json
-
-        entry = {"schema": CAMPAIGN_SCHEMA_VERSION,
-                 "records": payload["records"]}
-        atomic_write_json(path, entry)
+        if cache_root is not None:
+            write_entry(cache_root / f"live-{job.digest()}.json",
+                        {"records": payload["records"]},
+                        CAMPAIGN_SCHEMA_VERSION)
 
     by_key: Dict[Tuple[int, int], LiveStrikeRecord] = {}
     order = {s: i for i, s in enumerate(structures)}

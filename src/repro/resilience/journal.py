@@ -19,45 +19,12 @@ freshly computed results.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, Iterator, Union
+from typing import Dict, Union
 
-from repro.errors import ReproError
+from repro.store import append_jsonl, replay_jsonl
 
 JOURNAL_SCHEMA_VERSION = 1
-
-
-def replay_jsonl(path: Path, max_schema: int, what: str,
-                 remedy: str = "remove the journal (recomputing from the "
-                               "result cache) or upgrade") -> Iterator[dict]:
-    """Yield the parseable dict entries of an append-only JSONL journal.
-
-    This is the one tolerant-replay idiom every journal in the framework
-    shares (the per-job checkpoint journal here, the campaign service's
-    lifecycle journal): blank lines and lines that fail to parse are
-    dropped — a truncated final line is the signature of a crash
-    mid-write and loses at most one event — but an entry stamped with a
-    *newer* ``schema`` than ``max_schema`` refuses the whole replay with
-    a diagnostic, because events whose semantics this build cannot
-    interpret must never silently mix with fresh state.
-    """
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue  # truncated by a crash mid-write; drop it
-        if not isinstance(entry, dict):
-            continue
-        schema = entry.get("schema")
-        if isinstance(schema, int) and schema > max_schema:
-            raise ReproError(
-                f"{what} {path} contains schema {schema} entries but this "
-                f"build reads schema <= {max_schema}; refusing to replay — "
-                f"{remedy}")
-        yield entry
 
 
 class CheckpointJournal:
@@ -65,8 +32,10 @@ class CheckpointJournal:
 
     ``resume=False`` (a fresh campaign) truncates any existing file;
     ``resume=True`` replays it into :attr:`done` and :attr:`failed` first.
-    Writes are open-append-close per event: no handle to leak across the
-    worker-pool forks, and every line is on disk when ``record_*`` returns.
+    Writes are one fsynced append per event
+    (:func:`repro.store.append_jsonl`): no handle to leak across the
+    worker-pool forks, and every line is on disk when ``record_*``
+    returns.
     """
 
     def __init__(self, path: Union[str, Path], resume: bool = False) -> None:
@@ -93,10 +62,6 @@ class CheckpointJournal:
             elif entry.get("event") == "failed":
                 self.failed[digest] = entry
 
-    def _append(self, entry: dict) -> None:
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
     def record_done(self, digest: str, label: str,
                     attempts: int, elapsed: float) -> None:
         entry = {"schema": JOURNAL_SCHEMA_VERSION, "event": "done",
@@ -104,7 +69,7 @@ class CheckpointJournal:
                  "attempts": attempts, "elapsed": round(elapsed, 3)}
         self.done[digest] = entry
         self.failed.pop(digest, None)
-        self._append(entry)
+        append_jsonl(self.path, entry)
 
     def record_failed(self, digest: str, label: str, attempts: int,
                       kind: str, error: str) -> None:
@@ -112,4 +77,4 @@ class CheckpointJournal:
                  "digest": digest, "label": label,
                  "attempts": attempts, "kind": kind, "error": error}
         self.failed[digest] = entry
-        self._append(entry)
+        append_jsonl(self.path, entry)

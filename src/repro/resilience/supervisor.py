@@ -39,7 +39,6 @@ execution is byte-identical to inline execution when no faults fire.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -50,6 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import CampaignCancelled, ConfigError, ExecutionFailed
 from repro.resilience.chaos import ChaosSpec, misbehave
+from repro.store import stable_digest
 
 #: Grace period (seconds) an abort grants in-flight jobs to finish and
 #: commit before the pool is torn down, when no job timeout bounds them.
@@ -95,8 +95,7 @@ class RetryPolicy:
         """
         raw = min(self.backoff_base * self.backoff_factor ** (attempt - 1),
                   self.backoff_max)
-        blob = f"{self.seed}:{digest}:{attempt}".encode()
-        h = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+        h = int(stable_digest([self.seed, digest, attempt])[:16], 16)
         unit = h / float(2 ** 64)  # uniform in [0, 1)
         return raw * (1.0 + self.backoff_jitter * (2.0 * unit - 1.0))
 

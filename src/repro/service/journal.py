@@ -11,12 +11,12 @@ re-admitted by the scheduler and resumed through the per-batch content
 cache — finished batches are never recomputed, so a recovered campaign's
 artifact is byte-identical to an uninterrupted run's.
 
-The file format follows the PR-3 checkpoint-journal discipline exactly
-(:mod:`repro.resilience.journal`): schema-versioned entries, one
-open-append-close write per event so every line is on disk when the
-recording call returns, replay tolerant of a truncated final line (a
-crash mid-write loses at most one event), and refusal — with a
-diagnostic — of entries stamped by a newer schema.
+The file format follows the one journal discipline of :mod:`repro.store`
+(shared with :mod:`repro.resilience.journal`): schema-versioned entries,
+one fsynced append per event so every line is on disk when the recording
+call returns, replay tolerant of a truncated final line (a crash
+mid-write loses at most one event), and refusal — with a diagnostic — of
+entries stamped by a newer schema.
 
 ``submitted`` entries carry the campaign's *request payload* (the exact
 JSON a client could POST), so replay re-validates through the ordinary
@@ -28,14 +28,12 @@ order.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.resilience.journal import replay_jsonl
+from repro.store import append_jsonl, atomic_write, jsonl_bytes, replay_jsonl
 
 #: Version of the service journal's entry layout.
 SERVICE_JOURNAL_VERSION = 1
@@ -116,14 +114,7 @@ class ServiceJournal:
                 entry["request"] = request
                 entry["priority"] = priority
                 entry["seq"] = self._seq
-            blob = json.dumps(entry, sort_keys=True) + "\n"
-            # One O_APPEND write per event: concurrent recorders never
-            # interleave partial lines, and a crash can truncate at most
-            # the final line — exactly what replay tolerates.
-            with self.path.open("a") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
+            append_jsonl(self.path, entry)
 
     # -- replay ----------------------------------------------------------------------
 
@@ -131,8 +122,7 @@ class ServiceJournal:
         """Fold the journal into per-campaign records, in submission order.
 
         Tolerates a truncated final line; refuses newer-schema entries
-        with a diagnostic (see
-        :func:`repro.resilience.journal.replay_jsonl`).
+        with a diagnostic (see :func:`repro.store.replay_jsonl`).
         """
         with self._lock:
             return self._replay_locked()
@@ -180,38 +170,28 @@ class ServiceJournal:
         losing recovery information.  Fleet lease records
         (``fleet:<digest>`` ids) are observability only and are dropped
         wholesale, so heartbeat-renewal traffic never accretes across
-        restarts.  The rewrite goes through a temp file and
-        :func:`os.replace`, so a crash mid-compaction leaves either the
-        old journal or the new one, never a mix — and the whole
-        replay-rewrite-replace window holds the journal lock, so a
+        restarts.  The rewrite goes through the fsynced
+        :func:`repro.store.atomic_write`, so a crash mid-compaction leaves
+        either the old journal or the new one, never a mix — and the
+        whole replay-rewrite-replace window holds the journal lock, so a
         record appended by a concurrent writer (a campaign submission, a
         lease renewal) lands strictly before or strictly after the
         compacted file, never inside the discarded one.
         """
         with self._lock:
-            records = self._replay_locked()
-            tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
-            try:
-                with tmp.open("w") as fh:
-                    for record in sorted(records.values(),
-                                         key=lambda r: r.seq):
-                        if record.campaign_id.startswith(FLEET_ID_PREFIX):
-                            continue
-                        entry: Dict[str, object] = {
-                            "schema": SERVICE_JOURNAL_VERSION,
-                            "event": record.state,
-                            "id": record.campaign_id,
-                        }
-                        if record.request is not None:
-                            entry["request"] = record.request
-                            entry["priority"] = record.priority
-                            entry["seq"] = record.seq
-                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            finally:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+            entries = []
+            for record in sorted(self._replay_locked().values(),
+                                 key=lambda r: r.seq):
+                if record.campaign_id.startswith(FLEET_ID_PREFIX):
+                    continue
+                entry: Dict[str, object] = {
+                    "schema": SERVICE_JOURNAL_VERSION,
+                    "event": record.state,
+                    "id": record.campaign_id,
+                }
+                if record.request is not None:
+                    entry["request"] = record.request
+                    entry["priority"] = record.priority
+                    entry["seq"] = record.seq
+                entries.append(entry)
+            atomic_write(self.path, jsonl_bytes(entries), fsync=True)

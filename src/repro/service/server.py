@@ -57,7 +57,8 @@ from repro.service.scheduler import (
     QueueFull,
 )
 from repro.service.specs import FLEET_SCHEMAS, SpecError, validate_schema
-from repro.service.store import ArtifactStore, canonical_json_bytes
+from repro.service.store import ArtifactStore
+from repro.store import canonical_bytes
 
 #: Version of the REST/JSON wire contract.  v2 added admission control
 #: (429 + Retry-After + ``queue_position``), DELETE cancellation and the
@@ -162,7 +163,7 @@ class CampaignServer:
                 status = 500
                 payload = {"error": f"{type(exc).__name__}: {exc}"}
                 raw = None
-            data = raw if raw is not None else canonical_json_bytes(payload)
+            data = raw if raw is not None else canonical_bytes(payload)
             writer.write(self._head(status, len(data), headers))
             writer.write(data)
             await writer.drain()

@@ -216,7 +216,7 @@ def package_result(core: SMTCore, workload: WorkloadSpec, names: List[str],
             f"simulation finished after {cycles} cycles; a degenerate run "
             "has no IPC (did the instruction budget round down to zero?)")
     if auditor is None or phase_tracker is None:
-        # Callers holding only the core (legacy ``_package`` signature):
+        # Callers holding only the core (no observer arguments):
         # recover the observers from the bus the core was wired with.
         bus = getattr(core.instruments, "bus", None)
         if bus is not None:

@@ -1,10 +1,8 @@
 """Top-level entry points: thin wrappers over :class:`repro.sim.session.SimSession`.
 
-Historically this module built traces, wired observers, constructed the
-core and packaged results itself; all of that now lives in one place in
-:mod:`repro.sim.session`.  The names re-exported here (``build_traces``,
-``_functional_warmup``, ``_package``) are kept for compatibility with
-existing callers and tests.
+Trace building, observer wiring, core construction and result packaging
+all live in :mod:`repro.sim.session`; ``build_traces`` is re-exported
+here for existing callers.
 """
 
 from __future__ import annotations
@@ -14,19 +12,8 @@ from typing import List, Optional, Union
 from repro.config import MachineConfig, SimConfig
 from repro.fetch.base import FetchPolicy
 from repro.sim.results import SimResult
-from repro.sim.session import (
-    SimSession,
-    WorkloadSpec,
-    _program_names,
-    build_traces,
-    functional_warmup,
-    package_result,
-)
+from repro.sim.session import SimSession, WorkloadSpec, build_traces
 from repro.workload.generator import ThreadTrace
-
-# Compatibility aliases for the pre-SimSession private helpers.
-_functional_warmup = functional_warmup
-_package = package_result
 
 __all__ = [
     "WorkloadSpec",

@@ -141,6 +141,23 @@ class TestCampaignCacheAndJobs:
         assert cached.summary() == first.summary()
         assert list(cached.structures) == list(first.structures)
 
+    @pytest.mark.parametrize("entry", [
+        {"schema": 2},
+        {"schema": 2, "result": {"workload": "2-CPU-A"}},
+    ], ids=["no-result", "partial-result"])
+    def test_incomplete_entry_recomputed_not_crash(self, tmp_path, entry):
+        """Regression: an entry with the right schema but no (or a
+        partial) result raised KeyError instead of being recomputed."""
+        import json
+
+        first = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path, **self.KW)
+        (path,) = tmp_path.glob("campaign-*.json")
+        good = path.read_bytes()
+        path.write_text(json.dumps(entry))
+        again = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path, **self.KW)
+        assert again.summary() == first.summary()
+        assert path.read_bytes() == good
+
     def test_schema_mismatch_reruns(self, tmp_path):
         import json
 

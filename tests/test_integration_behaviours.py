@@ -52,9 +52,9 @@ class TestFlushGating:
         policy = FlushPolicy()
         traces = build_traces(mix, sim)
         core = build_core(traces, MachineConfig(), policy, sim)
-        from repro.sim.simulator import _functional_warmup
+        from repro.sim.session import functional_warmup
 
-        _functional_warmup(core, traces)
+        functional_warmup(core, traces)
         core.run()
         assert policy.flushes > 0
         # The budget was reached with multiple flush episodes per thread:

@@ -92,6 +92,27 @@ class TestDiskCache:
         assert cold.simulated == 1
         assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA_VERSION
 
+    def test_edited_result_recomputed_not_served(self, tmp_path):
+        """Regression: a cached entry whose ``cycles`` was edited on disk
+        (schema intact, JSON valid) was served back by the next run."""
+        cache = ResultCache(cache_dir=tmp_path)
+        original = cache.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        (path,) = tmp_path.glob("*.json")
+        entry = json.loads(path.read_text())
+        entry["result"]["cycles"] += 12345
+        path.write_text(json.dumps(entry, sort_keys=True))
+
+        cold = ResultCache(cache_dir=tmp_path)
+        again = cold.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        assert cold.simulated == 1 and cold.disk_hits == 0
+        assert again.cycles == original.cycles
+        assert again.to_payload() == original.to_payload()
+        # The tampered bytes are kept aside, out of every read path.
+        assert (tmp_path / "quarantine" / path.name).exists()
+        reread = ResultCache(cache_dir=tmp_path)
+        reread.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        assert reread.simulated == 0 and reread.disk_hits == 1
+
     def test_memory_only_without_cache_dir(self):
         cache = ResultCache()
         a = cache.smt(get_mix("2-CPU-A"), "ICOUNT", TINY)

@@ -7,6 +7,7 @@ spec and asserts the run recovers — or degrades — exactly as specified.
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.experiments.runner import (
     ExperimentScale,
     ResultCache,
     atomic_write_json,
-    sweep_tmp_orphans,
 )
 from repro.resilience import (
     CHAOS_ENV_VAR,
@@ -34,6 +34,7 @@ from repro.resilience import (
     RetryPolicy,
     Supervisor,
 )
+from repro.store import sweep_tmp_orphans
 from repro.workload.mixes import get_mix
 
 TINY = ExperimentScale(instructions_per_thread=200)
@@ -442,6 +443,73 @@ class TestTmpFileHygiene:
         keeper.write_text("{}")
         ResultCache(cache_dir=tmp_path)
         assert not orphan.exists() and keeper.exists()
+
+    def test_open_during_publish_keeps_live_temp(self, tmp_path,
+                                                  monkeypatch):
+        """Regression: a campaign thread opening the shared cache dir
+        swept another thread's temp file between its write and its
+        rename, so that writer's rename raised FileNotFoundError."""
+        result = ResultCache().smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if ".tmp" in str(src):
+                opener = threading.Thread(target=ResultCache,
+                                          kwargs={"cache_dir": tmp_path})
+                opener.start()
+                opener.join()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        errors = []
+
+        def write():
+            try:
+                ResultCache(cache_dir=tmp_path).put("ab" * 32, result)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        writer.join()
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert errors == []
+        reread = ResultCache(cache_dir=tmp_path).get("ab" * 32)
+        assert reread.to_payload() == result.to_payload()
+
+    def test_concurrent_writers_of_one_digest_do_not_collide(
+            self, tmp_path, monkeypatch):
+        """Regression: two threads publishing the same digest shared one
+        temp name, so the second rename found its temp already gone."""
+        result = ResultCache().smt(get_mix("2-CPU-A"), "ICOUNT", TINY)
+        real_replace = os.replace
+        both_written = threading.Barrier(2)
+
+        def replace(src, dst):
+            if ".tmp" in str(src):
+                both_written.wait(timeout=10)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        cache = ResultCache(cache_dir=tmp_path)
+        errors = []
+
+        def write():
+            try:
+                cache.put("cd" * 32, result)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write) for _ in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert errors == []
+        assert list(tmp_path.glob("*.tmp*")) == []
+        reread = ResultCache(cache_dir=tmp_path).get("cd" * 32)
+        assert reread.to_payload() == result.to_payload()
 
     def test_sweep_returns_count(self, tmp_path):
         for i in range(3):

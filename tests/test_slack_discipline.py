@@ -4,8 +4,7 @@ import pytest
 
 from repro.config import MachineConfig, SimConfig
 from repro.rmt.slack import SlackFetchPolicy
-from repro.sim.session import build_core
-from repro.sim.simulator import _functional_warmup
+from repro.sim.session import build_core, functional_warmup
 from repro.workload.generator import generate_trace
 from repro.workload.spec2000 import get_profile
 
@@ -19,7 +18,7 @@ def slack_samples():
     policy = SlackFetchPolicy(leader=0, trailer=1, min_slack=32, max_slack=256)
     sim = SimConfig(max_instructions=2 * instructions)
     core = build_core(traces, MachineConfig(), policy, sim)
-    _functional_warmup(core, traces)
+    functional_warmup(core, traces)
     samples = []
     while not core._done():
         core.cycle += 1
