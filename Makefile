@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos bench bench-kernel bench-kernel-check \
+.PHONY: install test test-fast test-chaos bench bench-kernel bench-kernel-check \
 	bench-e2e bench-e2e-smoke reproduce reproduce-smoke inject-smoke frontier-smoke serve-smoke \
 	serve-recovery-smoke fleet-smoke test-service test-fleet examples clean
 
@@ -98,11 +98,25 @@ reproduce-smoke:
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,
 # one forced crash and one forced parity detection.  Exit 0 proves the
 # watchdog catches a wedged pipeline and the containment turns a corrupted
-# simulator into a classified DUE instead of a campaign abort.
+# simulator into a classified DUE instead of a campaign abort.  Then a
+# supervised interval campaign runs twice on one cache dir: the resumed
+# second run must be served from the cache (its checkpoint journal still
+# holds exactly the first run's one "done" record) and print the same.
+INJECT_INTERVAL = PYTHONPATH=src $(PYTHON) -m repro.cli inject 2-CPU-A \
+	--strikes 500 -n 300 --retries 1 --cache-dir $(SMOKE_DIR)
+
 inject-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli inject gcc mcf --live \
 		--strikes 6 --structures iq rob \
 		--force hang --force crash --force due --seed 11
+	rm -rf $(SMOKE_DIR)
+	mkdir -p $(SMOKE_DIR)
+	$(INJECT_INTERVAL) > $(SMOKE_DIR)/interval-1.txt
+	$(INJECT_INTERVAL) --resume > $(SMOKE_DIR)/interval-2.txt
+	test "$$(grep -c '"event": "done"' \
+		$(SMOKE_DIR)/journal-inject-2-CPU-A.jsonl)" = 1
+	cmp $(SMOKE_DIR)/interval-1.txt $(SMOKE_DIR)/interval-2.txt
+	rm -rf $(SMOKE_DIR)
 
 # Protection-frontier smoke test: regenerate the protection_frontier
 # artefact at the committed golden's scale and diff it against the

@@ -270,7 +270,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.faultinject import run_campaign, run_campaign_supervised
+    from repro.faultinject import run_campaign
 
     apply_backend_env(args.backend)
     if args.live:
@@ -286,15 +286,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     tag = (args.workload[0] if len(args.workload) == 1
            else "+".join(args.workload))
     supervisor = _supervisor_from_args(args, f"inject-{tag}")
-    if supervisor is None:
-        result = run_campaign(workload, injections=strikes, sim=sim,
-                              jobs=args.jobs, cache_dir=cache_dir)
-        print(result.summary())
-        return 0
-    result = run_campaign_supervised(workload, supervisor,
-                                     injections=strikes, sim=sim,
-                                     classify_jobs=args.jobs,
-                                     cache_dir=cache_dir)
+    result = run_campaign(workload, injections=strikes, sim=sim,
+                          cache_dir=cache_dir, supervisor=supervisor)
     if result is None:
         print(f"inject: DEGRADED — MISSING(campaign/{tag}) "
               f"(campaign failed permanently; see failures report)")

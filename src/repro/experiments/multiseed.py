@@ -10,15 +10,14 @@ shape assertion checked against noise rather than one draw).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import ResultCache
+from repro.experiments.runner import ResultCache, job_key, stable_digest
 from repro.sim.results import SimResult
-from repro.sim.simulator import simulate
-from repro.workload.mixes import WorkloadMix
+from repro.workload.mixes import WorkloadLike, workload_label, workload_programs
 
 
 @dataclass
@@ -67,7 +66,7 @@ class MultiSeedResult:
         return "\n".join(lines)
 
 
-def run_multiseed(workload: Union[WorkloadMix, Sequence[str]],
+def run_multiseed(workload: WorkloadLike,
                   seeds: Sequence[int] = (1, 2, 3),
                   policy: str = "ICOUNT",
                   instructions_per_thread: int = 2000,
@@ -90,38 +89,31 @@ def run_multiseed(workload: Union[WorkloadMix, Sequence[str]],
     if len(seeds) < 1:
         raise ConfigError("need at least one seed")
     config = config or DEFAULT_CONFIG
-    programs = (workload.programs if isinstance(workload, WorkloadMix)
-                else tuple(workload))
+    programs = workload_programs(workload)
     threads = len(programs)
     tracked = tuple(structures) if structures else tuple(Structure)
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
+    name = workload_label(workload)
     sims = [SimConfig(max_instructions=instructions_per_thread * threads,
                       seed=seed) for seed in seeds]
-    if jobs > 1 or supervisor is not None:
-        # Fan the independent per-seed runs out first; the statistics
-        # loop below then reads them from the (now warm) cache.  A custom
-        # WorkloadMix a SimJob cannot reconstruct (digest would not match
-        # the read below) stays on the inline path.
-        from repro.experiments.parallel import SimJob, run_jobs
-        from repro.experiments.runner import job_key, stable_digest
+    # Run the independent per-seed runs first; the statistics loop below
+    # then reads them from the (now warm) cache.  A custom WorkloadMix a
+    # SimJob cannot reconstruct (digest would not match the read below)
+    # is simulated by that read instead.
+    from repro.experiments.parallel import SimJob, run_jobs
 
-        cache = cache or ResultCache(config)
-        fan_out = []
-        for sim in sims:
-            job = SimJob(workload_name=name, programs=programs,
-                         policy=policy, config=config, sim=sim)
-            if job.digest() == stable_digest(
-                    job_key(config, sim, workload, policy)):
-                fan_out.append(job)
-        run_jobs(fan_out, cache, max_workers=jobs, supervisor=supervisor)
+    cache = cache or ResultCache(config)
+    fan_out = []
+    for sim in sims:
+        job = SimJob(workload_name=name, programs=programs,
+                     policy=policy, config=config, sim=sim)
+        if job.digest() == stable_digest(
+                job_key(config, sim, workload, policy)):
+            fan_out.append(job)
+    run_jobs(fan_out, cache, max_workers=jobs, supervisor=supervisor)
     out = MultiSeedResult(workload=name, policy=policy, seeds=tuple(seeds),
                           avf={s: SeedStatistics() for s in tracked})
     for sim in sims:
-        if cache is not None:
-            result = cache.run(workload, policy=policy, sim=sim, config=config)
-        else:
-            result = simulate(workload, policy=policy, config=config, sim=sim)
+        result = cache.run(workload, policy=policy, sim=sim, config=config)
         out.runs.append(result)
         out.ipc.values.append(result.ipc)
         for s in tracked:

@@ -3,11 +3,12 @@
 One job is one independent :func:`repro.sim.simulator.simulate` call — a
 (workload, policy, machine config, sim config) tuple.  :func:`run_jobs`
 deduplicates jobs by content digest, skips those already satisfied by the
-:class:`ResultCache` (memory or disk) and executes the rest, inline for one
-worker or on a supervised worker pool (:mod:`repro.resilience`) otherwise —
-crashes, hangs and corrupt payloads are retried per the supervisor's
-policy, and every completed result lands in the cache even when a sibling
-job fails, so artefact rendering afterwards never simulates.
+:class:`ResultCache` (memory or disk) and executes the rest through
+:func:`repro.resilience.run_tasks`, inline for one worker or on a
+supervised worker pool otherwise — crashes, hangs and corrupt payloads
+are retried per the supervisor's policy, and every completed result
+lands in the cache even when a sibling job fails, so artefact rendering
+afterwards never simulates.
 
 :func:`prewarm_artefacts` knows which runs each ``repro-sim reproduce``
 artefact needs.  Planning happens in two stages because the single-thread
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig, SimConfig
-from repro.errors import ConfigError, MissingResultError
+from repro.errors import ConfigError, ExecutionFailed, MissingResultError
 from repro.experiments.runner import (
     MIX_TYPES,
     ExperimentScale,
@@ -44,10 +45,20 @@ from repro.experiments.protection_frontier import (
     FRONTIER_BUDGET_CAP, FRONTIER_WORKLOAD)
 from repro.experiments.sensitivity import SWEEPABLE
 from repro.fetch.registry import POLICY_NAMES
-from repro.resilience import RetryPolicy, Supervisor
+from repro.resilience import (
+    FailureReport,
+    RetryPolicy,
+    Supervisor,
+    run_tasks,
+)
 from repro.sim.results import SimResult
 from repro.sim.simulator import simulate
-from repro.workload.mixes import TABLE2_MIXES, WorkloadMix, get_mix, mixes_for
+from repro.workload.mixes import (
+    WorkloadMix,
+    get_mix,
+    mixes_for,
+    resolve_workload,
+)
 
 #: Workloads Figure 3 (and thus Figure 4) compares across execution modes.
 FIG3_WORKLOADS = ("4-CPU-A", "4-MIX-A", "4-MEM-A")
@@ -80,10 +91,7 @@ class SimJob:
 
     def workload(self) -> Union[WorkloadMix, List[str]]:
         """The Table 2 mix when the name matches one, else the program list."""
-        mix = TABLE2_MIXES.get(self.workload_name)
-        if mix is not None and mix.programs == self.programs:
-            return mix
-        return list(self.programs)
+        return resolve_workload(self.workload_name, self.programs)
 
     def digest(self) -> str:
         return stable_digest(
@@ -116,47 +124,36 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
     each distinct simulation once.  Jobs a supervised run has already
     failed permanently (``cache.failed``) are neither re-run nor counted.
 
-    ``max_workers == 1`` without a ``supervisor`` runs inline (the legacy
-    fast path); otherwise execution goes through a
-    :class:`~repro.resilience.Supervisor` — the caller's, carrying its
-    retry policy, journal and failure budget, or a default one with zero
-    retries, which still guarantees that every payload completed before a
+    Execution goes through :func:`~repro.resilience.run_tasks`: inline
+    for one worker without a ``supervisor``, else on the caller's
+    supervisor (its retry policy, journal and failure budget) or a
+    default one with zero retries.  Every payload completed before a
     mid-batch failure is committed to the cache before the failure
     propagates (as :class:`~repro.errors.ExecutionFailed`).
     """
-    if max_workers < 1:
-        raise ConfigError("max_workers must be >= 1")
-    unique: Dict[str, SimJob] = {}
-    for job in jobs:
-        unique.setdefault(job.digest(), job)
-    pending = {d: j for d, j in unique.items()
-               if cache.get(d) is None and d not in cache.failed}
-    if not pending:
-        return 0
-    if supervisor is None and (max_workers == 1 or len(pending) == 1):
-        for job in pending.values():
-            cache.run(job.workload(), policy=job.policy,
-                      sim=job.sim, config=job.config)
-        return len(pending)
-    if supervisor is None:
-        supervisor = Supervisor(max_workers=max_workers,
-                                policy=RetryPolicy(retries=0, max_failures=0))
-
     def commit(job: SimJob, payload: Dict[str, object]) -> None:
         cache.put(job.digest(), SimResult.from_payload(payload))
         cache.simulated += 1
 
+    def already_done(job: SimJob) -> bool:
+        digest = job.digest()
+        return cache.get(digest) is not None or digest in cache.failed
+
+    report = supervisor.report if supervisor is not None else FailureReport()
     try:
-        outcome = supervisor.run(
-            pending.values(), commit=commit,
-            already_done=lambda j: cache.get(j.digest()) is not None)
+        return run_tasks(jobs, commit, already_done, jobs=max_workers,
+                         supervisor=supervisor,
+                         policy=RetryPolicy(retries=0,
+                                            max_failures=0)).executed
+    except ExecutionFailed as exc:
+        report = exc.report
+        raise
     finally:
         # Whatever happened — clean finish, degraded finish, or an
         # ExecutionFailed abort — renderers must see permanent failures as
         # MISSING rather than silently re-simulating them inline.
-        for failure in supervisor.report.failures:
+        for failure in report.failures:
             cache.mark_failed(failure.digest, failure.label)
-    return outcome.executed
 
 
 # -- per-artefact job planning ---------------------------------------------------

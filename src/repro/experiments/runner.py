@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
@@ -31,7 +31,13 @@ from repro.store import (
     stable_digest,
     write_entry,
 )
-from repro.workload.mixes import WorkloadMix, mixes_for
+from repro.workload.mixes import (
+    WorkloadLike,
+    WorkloadMix,
+    mixes_for,
+    workload_label,
+    workload_programs,
+)
 
 #: Environment knob for benchmark runs: per-thread instruction budget.
 SCALE_ENV_VAR = "REPRO_SCALE"
@@ -104,22 +110,6 @@ class ExperimentScale:
             seed=self.seed,
             check_invariants=self.check_invariants,
         )
-
-
-WorkloadLike = Union[WorkloadMix, Sequence[str]]
-
-
-def workload_label(workload: WorkloadLike) -> str:
-    """The name a :func:`simulate` run records for this workload."""
-    if isinstance(workload, WorkloadMix):
-        return workload.name
-    return "+".join(workload)
-
-
-def workload_programs(workload: WorkloadLike) -> Tuple[str, ...]:
-    if isinstance(workload, WorkloadMix):
-        return workload.programs
-    return tuple(workload)
 
 
 def job_key(config: MachineConfig, sim: SimConfig,

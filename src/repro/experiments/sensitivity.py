@@ -26,7 +26,6 @@ from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError
 from repro.experiments.formatting import render_table
 from repro.experiments.runner import ExperimentScale, ResultCache
-from repro.sim.simulator import simulate
 from repro.workload.mixes import WorkloadMix, get_mix
 
 #: Resources the sweep can scale and the structure whose exposure it tracks.
@@ -95,28 +94,24 @@ def run_resource_sweep(resource: str,
 
     data = SweepData(resource=resource, workload=mix.name, structure=structure)
     base_config = cache.config if cache is not None else DEFAULT_CONFIG
-    if jobs > 1 or supervisor is not None:
-        # Imported lazily: parallel.py imports SWEEPABLE from this module.
-        from repro.experiments.parallel import SimJob, run_jobs
+    # Imported lazily: parallel.py imports SWEEPABLE from this module.
+    from repro.experiments.parallel import SimJob, run_jobs
 
-        cache = cache or ResultCache(base_config)
-        run_jobs(
-            [SimJob(workload_name=mix.name, programs=mix.programs,
-                    policy=policy,
-                    config=base_config.with_overrides(
-                        **{f: size for f in fields}),
-                    sim=scale.sim_config(mix.num_threads))
-             for size in sizes],
-            cache, max_workers=jobs, supervisor=supervisor)
+    cache = cache or ResultCache(base_config)
+    run_jobs(
+        [SimJob(workload_name=mix.name, programs=mix.programs,
+                policy=policy,
+                config=base_config.with_overrides(
+                    **{f: size for f in fields}),
+                sim=scale.sim_config(mix.num_threads))
+         for size in sizes],
+        cache, max_workers=jobs, supervisor=supervisor)
     for size in sizes:
         config = base_config.with_overrides(**{f: size for f in fields})
         # Built via the scale (not a bare SimConfig) so the digest matches
         # the parallel planner's jobs even when runtime auditing is on.
         sim = scale.sim_config(mix.num_threads)
-        if cache is not None:
-            result = cache.run(mix, policy=policy, sim=sim, config=config)
-        else:
-            result = simulate(mix, policy=policy, config=config, sim=sim)
+        result = cache.run(mix, policy=policy, sim=sim, config=config)
         avf = result.avf.avf[structure]
         bits = structure_bits(structure, config, mix.num_threads)
         data.points.append(SweepPoint(size=size, ipc=result.ipc, avf=avf,

@@ -19,7 +19,10 @@ path from the summed AVF ledgers — then samples injections uniformly over
 * ``SDC``          — it held ACE state: silent data corruption.
 
 The campaign's SDC rate converging to the reported AVF validates the
-interval arithmetic end to end.
+interval arithmetic end to end.  The whole campaign is one
+:class:`CampaignJob`: :func:`run_campaign` classifies every structure
+in-process, or runs the job in a worker when given a supervisor, through
+the same :func:`repro.resilience.run_tasks` every batch uses.
 
 :mod:`repro.faultinject.live` adds the second methodology for real: it
 flips an actual bit in a live structure mid-run and classifies the strike
@@ -33,12 +36,10 @@ paper's Section-2 cross-validation of the two methodologies.
 
 from repro.faultinject.campaign import (
     CampaignJob,
-    ClassifyTask,
     InjectionCampaignResult,
     InjectionOutcome,
     MASKED_OUTCOMES,
     run_campaign,
-    run_campaign_supervised,
 )
 from repro.faultinject.classify import DigestRecorder, Watchdog
 from repro.faultinject.live import (
@@ -58,9 +59,8 @@ from repro.faultinject.live import (
     run_one_strike,
 )
 
-__all__ = ["CampaignJob", "ClassifyTask", "InjectionOutcome",
-           "InjectionCampaignResult", "MASKED_OUTCOMES",
-           "run_campaign", "run_campaign_supervised",
+__all__ = ["CampaignJob", "InjectionOutcome",
+           "InjectionCampaignResult", "MASKED_OUTCOMES", "run_campaign",
            "DigestRecorder", "Watchdog",
            "FORCED_KINDS", "GoldenRun", "LiveBatchJob", "LiveCampaignResult",
            "LiveConfig", "LiveStrikeRecord", "StrikeInjector", "StrikeSpec",

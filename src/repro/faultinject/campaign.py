@@ -16,7 +16,12 @@ from repro.fetch.base import FetchPolicy
 from repro.fetch.registry import create_policy
 from repro.sim.session import SimSession
 from repro.store import open_dir, read_entry, stable_digest, write_entry
-from repro.workload.mixes import TABLE2_MIXES, WorkloadMix
+from repro.workload.mixes import (
+    WorkloadLike,
+    resolve_workload,
+    workload_label,
+    workload_programs,
+)
 
 #: Structures the campaign can inject into (interval-logged pipeline state).
 INJECTABLE = (Structure.IQ, Structure.ROB, Structure.LSQ_TAG,
@@ -148,56 +153,6 @@ def _occupancy_timelines(sources: Sequence[object], cycles: int) -> tuple:
     return np.cumsum(ace_diff)[:cycles], np.cumsum(occ_diff)[:cycles]
 
 
-@dataclass(frozen=True)
-class ClassifyTask:
-    """One structure's strike classification as a supervised task.
-
-    Pure arithmetic over already-recorded residency intervals, packaged
-    for the :class:`repro.resilience.Supervisor` task protocol so the
-    campaign's per-structure fan-out rides the same supervised pool as
-    every other parallel path in the framework (timeouts, retries,
-    broken-pool rebuilds) instead of a bare thread pool.
-    """
-
-    structure: Structure
-    strike_cycles: Tuple[int, ...]
-    strike_slots: Tuple[int, ...]
-    intervals: Tuple[Tuple[int, int, int, bool], ...]
-    cycles: int
-
-    @property
-    def label(self) -> str:
-        return f"classify/{self.structure.value}"
-
-    def digest(self) -> str:
-        return stable_digest([self.structure.value, self.strike_cycles,
-                              self.strike_slots, self.intervals, self.cycles])
-
-    def run(self) -> Dict[str, object]:
-        ace_at, occ_at = _occupancy_timelines([list(self.intervals)],
-                                              self.cycles)
-        cyc = np.asarray(self.strike_cycles, dtype=np.int64)
-        slots = np.asarray(self.strike_slots, dtype=np.int64)
-        # A strike below the ACE count corrupts; below the occupancy count
-        # it lands in an un-ACE entry; otherwise the slot was idle.  ACE
-        # intervals are a subset of occupancy, so the counts nest exactly
-        # as a per-strike if/elif chain would classify them.
-        sdc = int(np.count_nonzero(slots < ace_at[cyc]))
-        occupied = int(np.count_nonzero(slots < occ_at[cyc]))
-        return {"structure": self.structure.value,
-                "sdc": sdc, "occupied": occupied}
-
-    def validate(self, payload: Dict[str, object]) -> None:
-        if payload.get("structure") != self.structure.value:
-            raise ValueError(
-                f"payload for {payload.get('structure')!r}, "
-                f"expected {self.structure.value!r}")
-        sdc, occupied = int(payload["sdc"]), int(payload["occupied"])
-        if not 0 <= sdc <= occupied <= len(self.strike_cycles):
-            raise ValueError(f"inconsistent counts sdc={sdc} "
-                             f"occupied={occupied}")
-
-
 def _campaign_sim(base_sim: SimConfig) -> SimConfig:
     """The campaign's run config: the caller's, plus interval recording.
 
@@ -266,15 +221,100 @@ def _campaign_from_payload(payload: Dict[str, object]) -> InjectionCampaignResul
     return result
 
 
-def run_campaign(workload: Union[WorkloadMix, Sequence[str]],
+@dataclass(frozen=True)
+class CampaignJob:
+    """One whole interval campaign as a task (picklable).
+
+    Implements the task protocol of :func:`repro.resilience.run_tasks`
+    (``label``/``digest``/``run``/``validate``).  The digest is the
+    content hash the ``campaign-<digest>.json`` cache entry is keyed by.
+    ``policy`` is a registry name or a :class:`FetchPolicy` instance (the
+    RMT coverage study passes its slack-fetch policy).
+    """
+
+    workload_name: str
+    programs: Tuple[str, ...]
+    policy: Union[str, FetchPolicy]
+    config: MachineConfig
+    sim: SimConfig  # the base sim config; the run adds interval recording
+    injections: int
+    structures: Tuple[Structure, ...]
+    seed: int
+
+    def _fetch_policy(self) -> FetchPolicy:
+        if isinstance(self.policy, str):
+            return create_policy(self.policy)
+        return self.policy
+
+    @property
+    def label(self) -> str:
+        return f"campaign/{self.workload_name}/{self._fetch_policy().name}"
+
+    def key(self) -> Dict[str, object]:
+        return _campaign_key(self.workload_name, self.programs,
+                             self._fetch_policy().name, self.config,
+                             _campaign_sim(self.sim), self.injections,
+                             self.structures, self.seed)
+
+    def digest(self) -> str:
+        return stable_digest(self.key())
+
+    def run(self) -> Dict[str, object]:
+        session = SimSession(
+            resolve_workload(self.workload_name, self.programs),
+            policy=self._fetch_policy(), config=self.config,
+            sim=_campaign_sim(self.sim))
+        sim_result = session.run()
+        cycles = sim_result.cycles
+        engine = session.engine
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        result = InjectionCampaignResult(
+            workload=self.workload_name, cycles=cycles,
+            injections_per_structure=self.injections)
+        for structure in self.structures:
+            if structure in SHARED_STRUCTURES:
+                capacity = engine.account(structure).capacity
+            else:
+                capacity = (engine.account(structure, 0).capacity
+                            * session.core.num_threads)
+            strike_cycles = rng.integers(0, cycles, size=self.injections)
+            strike_slots = rng.integers(0, capacity, size=self.injections)
+            ace_at, occ_at = _occupancy_timelines(
+                [session.recorder.intervals(structure)], cycles)
+            # A strike below the ACE count corrupts; below the occupancy
+            # count it lands in an un-ACE entry; otherwise the slot was
+            # idle.  ACE intervals are a subset of occupancy, so the
+            # counts nest exactly as a per-strike if/elif chain would
+            # classify them.
+            sdc = int(np.count_nonzero(strike_slots < ace_at[strike_cycles]))
+            occupied = int(np.count_nonzero(
+                strike_slots < occ_at[strike_cycles]))
+            campaign = StructureCampaign(
+                structure=structure, injections=self.injections,
+                reported_avf=sim_result.avf.avf[structure])
+            for outcome, count in (
+                    (InjectionOutcome.SDC, sdc),
+                    (InjectionOutcome.MASKED_UNACE, occupied - sdc),
+                    (InjectionOutcome.MASKED_IDLE,
+                     self.injections - occupied)):
+                if count:
+                    campaign.outcomes[outcome] = count
+            result.structures[structure] = campaign
+        return _campaign_payload(result)
+
+    def validate(self, payload: Dict[str, object]) -> None:
+        _campaign_from_payload(payload)
+
+
+def run_campaign(workload: WorkloadLike,
                  injections: int = 2000,
                  structures: Sequence[Structure] = INJECTABLE,
                  policy: Union[str, FetchPolicy] = "ICOUNT",
                  config: Optional[MachineConfig] = None,
                  sim: Optional[SimConfig] = None,
                  seed: int = 42,
-                 jobs: int = 1,
-                 cache_dir: Optional[Union[str, Path]] = None) -> InjectionCampaignResult:
+                 cache_dir: Optional[Union[str, Path]] = None,
+                 supervisor=None) -> Optional[InjectionCampaignResult]:
     """Run one simulation, then bombard it with random transient strikes.
 
     Each injection picks a uniformly random (cycle, entry slot) point in the
@@ -282,208 +322,34 @@ def run_campaign(workload: Union[WorkloadMix, Sequence[str]],
     timeline says lived there.  Entries are interchangeable, so sampling a
     slot index against the per-cycle counts is exact.
 
-    ``jobs`` bounds the worker threads reconstructing the per-structure
-    occupancy timelines (they are independent once the run finishes);
-    ``cache_dir`` persists the campaign result keyed by a content hash of
-    every input, so repeating an identical campaign is instant.
+    The campaign is one :class:`CampaignJob` run through
+    :func:`~repro.resilience.run_tasks`: in-process by default, or in a
+    worker under ``supervisor`` (its per-job timeout, retries, chaos
+    exposure and checkpoint journal).  ``cache_dir`` persists the result
+    as ``campaign-<digest>.json``, keyed by a content hash of every
+    input, so repeating an identical campaign either way is instant.
+    Returns ``None`` only when a supervised campaign failed permanently
+    within the supervisor's failure budget (the particulars are on
+    ``supervisor.report``); beyond it
+    :class:`~repro.errors.ExecutionFailed` is raised.
     """
-    config = config or DEFAULT_CONFIG
-    base_sim = sim or SimConfig(max_instructions=4000)
-    run_sim = _campaign_sim(base_sim)
+    # Imported here: the pool machinery is start-up time a process that
+    # only imports this package should not pay.
+    from repro.resilience.supervisor import run_tasks
+
     unsupported = [s for s in structures if s not in INJECTABLE]
     if unsupported:
         raise ReproError(f"cannot inject into {unsupported}; "
                          f"supported: {list(INJECTABLE)}")
-    if jobs < 1:
-        raise ReproError("jobs must be >= 1")
-
-    policy_obj = create_policy(policy) if isinstance(policy, str) else policy
-    name = workload.name if isinstance(workload, WorkloadMix) else "+".join(workload)
-
-    cache_path: Optional[Path] = None
-    if cache_dir is not None:
-        key = _campaign_key(
-            name,
-            workload.programs if isinstance(workload, WorkloadMix) else workload,
-            policy_obj.name, config, run_sim, injections, structures, seed)
-        cache_path = open_dir(cache_dir) / f"campaign-{stable_digest(key)}.json"
-        cached = read_entry(cache_path, CAMPAIGN_SCHEMA_VERSION,
-                            _campaign_from_payload)
-        if cached is not None:
-            return cached
-
-    session = SimSession(workload, policy=policy_obj, config=config,
-                         sim=run_sim)
-    sim_result = session.run()
-    cycles = sim_result.cycles
-    report = sim_result.avf
-    engine = session.engine
-    recorder = session.recorder
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    result = InjectionCampaignResult(workload=name, cycles=cycles,
-                                     injections_per_structure=injections)
-    # Draw every structure's strikes first, in structure order, so the RNG
-    # stream (and hence the outcome counts) is independent of how the
-    # classification below is scheduled.
-    tasks: Dict[Structure, ClassifyTask] = {}
-    for structure in structures:
-        if structure in SHARED_STRUCTURES:
-            capacity = engine.account(structure).capacity
-        else:
-            capacity = (engine.account(structure, 0).capacity
-                        * session.core.num_threads)
-        strike_cycles = rng.integers(0, cycles, size=injections)
-        strike_slots = rng.integers(0, capacity, size=injections)
-        intervals = tuple(tuple(iv) for iv in recorder.intervals(structure))
-        tasks[structure] = ClassifyTask(
-            structure=structure,
-            strike_cycles=tuple(int(c) for c in strike_cycles),
-            strike_slots=tuple(int(s) for s in strike_slots),
-            intervals=intervals, cycles=cycles)
-
-    counts: Dict[Structure, Dict[str, object]] = {}
-    if jobs == 1 or len(tasks) <= 1:
-        for structure, task in tasks.items():
-            counts[structure] = task.run()
-    else:
-        # Classification is pure arithmetic on the drawn strikes, so the
-        # supervised pool cannot change outcomes — only survive workers.
-        from repro.resilience import RetryPolicy, Supervisor
-
-        by_digest = {task.digest(): structure
-                     for structure, task in tasks.items()}
-        supervisor = Supervisor(max_workers=min(jobs, len(tasks)),
-                                policy=RetryPolicy(retries=1, max_failures=0))
-        supervisor.run(
-            list(tasks.values()),
-            commit=lambda task, payload:
-                counts.__setitem__(by_digest[task.digest()], payload))
-    # Assemble in the caller's structure order, independent of completion
-    # order, so summaries and cache payloads are deterministic.
-    for structure in structures:
-        payload = counts[structure]
-        sdc, occupied = int(payload["sdc"]), int(payload["occupied"])
-        campaign = StructureCampaign(structure=structure,
-                                     injections=injections,
-                                     reported_avf=report.avf[structure])
-        for outcome, count in ((InjectionOutcome.SDC, sdc),
-                               (InjectionOutcome.MASKED_UNACE, occupied - sdc),
-                               (InjectionOutcome.MASKED_IDLE,
-                                injections - occupied)):
-            if count:
-                campaign.outcomes[outcome] = count
-        result.structures[structure] = campaign
-
-    if cache_path is not None:
-        write_entry(cache_path, _campaign_payload(result),
-                    CAMPAIGN_SCHEMA_VERSION)
-    return result
-
-
-# -- supervised campaign execution ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignJob:
-    """One whole injection campaign as a supervised task (picklable).
-
-    Implements the task protocol of :class:`repro.resilience.Supervisor`
-    (``label``/``digest``/``run``/``validate``).  The digest is the same
-    content hash :func:`run_campaign` keys its on-disk cache with, so the
-    supervised path and the legacy path share ``campaign-<digest>.json``
-    files interchangeably.  ``classify_jobs`` (worker threads for the
-    per-structure timeline reconstruction, inside the worker process) is
-    excluded from the key: it cannot change the outcome.
-    """
-
-    workload_name: str
-    programs: Tuple[str, ...]
-    policy: str
-    config: MachineConfig
-    sim: SimConfig  # the base sim config; run_campaign adds interval recording
-    injections: int
-    structures: Tuple[Structure, ...]
-    seed: int
-    classify_jobs: int = 1
-
-    @property
-    def label(self) -> str:
-        return f"campaign/{self.workload_name}/{self.policy}"
-
-    def _workload(self) -> Union[WorkloadMix, List[str]]:
-        mix = TABLE2_MIXES.get(self.workload_name)
-        if mix is not None and mix.programs == self.programs:
-            return mix
-        return list(self.programs)
-
-    def key(self) -> Dict[str, object]:
-        return _campaign_key(self.workload_name, self.programs, self.policy,
-                             self.config, _campaign_sim(self.sim),
-                             self.injections, self.structures, self.seed)
-
-    def digest(self) -> str:
-        return stable_digest(self.key())
-
-    def run(self) -> Dict[str, object]:
-        result = run_campaign(self._workload(), injections=self.injections,
-                              structures=self.structures, policy=self.policy,
-                              config=self.config, sim=self.sim,
-                              seed=self.seed, jobs=self.classify_jobs,
-                              cache_dir=None)
-        return _campaign_payload(result)
-
-    def validate(self, payload: Dict[str, object]) -> None:
-        _campaign_from_payload(payload)
-
-
-def run_campaign_supervised(
-        workload: Union[WorkloadMix, Sequence[str]],
-        supervisor,
-        injections: int = 2000,
-        structures: Sequence[Structure] = INJECTABLE,
-        policy: str = "ICOUNT",
-        config: Optional[MachineConfig] = None,
-        sim: Optional[SimConfig] = None,
-        seed: int = 42,
-        classify_jobs: int = 1,
-        cache_dir: Optional[Union[str, Path]] = None,
-) -> Optional[InjectionCampaignResult]:
-    """:func:`run_campaign` under a :class:`~repro.resilience.Supervisor`.
-
-    The campaign runs in a worker process with the supervisor's per-job
-    timeout, retry/backoff and chaos exposure; its result is published to
-    the same ``campaign-<digest>.json`` cache entry the legacy path uses,
-    and completion is checkpointed in the supervisor's journal so an
-    interrupted ``inject --resume`` skips a finished campaign entirely.
-    Returns ``None`` when the campaign failed permanently within the
-    supervisor's failure budget (the caller reads the particulars off
-    ``supervisor.report``); raises
-    :class:`~repro.errors.ExecutionFailed` beyond it.
-    """
-    config = config or DEFAULT_CONFIG
-    base_sim = sim or SimConfig(max_instructions=4000)
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
-    programs = tuple(workload.programs if isinstance(workload, WorkloadMix)
-                     else workload)
-    job = CampaignJob(workload_name=name, programs=programs, policy=policy,
-                      config=config, sim=base_sim, injections=injections,
-                      structures=tuple(structures), seed=seed,
-                      classify_jobs=classify_jobs)
-
-    cache_path: Optional[Path] = None
-    if cache_dir is not None:
-        cache_path = open_dir(cache_dir) / f"campaign-{job.digest()}.json"
-
-    collected: Dict[str, InjectionCampaignResult] = {}
-
-    def commit(task: CampaignJob, payload: Dict[str, object]) -> None:
-        result = _campaign_from_payload(payload)
-        collected[task.digest()] = result
-        if cache_path is not None:
-            write_entry(cache_path, _campaign_payload(result),
-                        CAMPAIGN_SCHEMA_VERSION)
+    job = CampaignJob(workload_name=workload_label(workload),
+                      programs=workload_programs(workload), policy=policy,
+                      config=config or DEFAULT_CONFIG,
+                      sim=sim or SimConfig(max_instructions=4000),
+                      injections=injections, structures=tuple(structures),
+                      seed=seed)
+    cache_path = (open_dir(cache_dir) / f"campaign-{job.digest()}.json"
+                  if cache_dir is not None else None)
+    results: List[InjectionCampaignResult] = []
 
     def already_done(task: CampaignJob) -> bool:
         if cache_path is None:
@@ -492,8 +358,13 @@ def run_campaign_supervised(
                             _campaign_from_payload)
         if cached is None:
             return False
-        collected[task.digest()] = cached
+        results.append(cached)
         return True
 
-    supervisor.run([job], commit=commit, already_done=already_done)
-    return collected.get(job.digest())
+    def commit(task: CampaignJob, payload: Dict[str, object]) -> None:
+        results.append(_campaign_from_payload(payload))
+        if cache_path is not None:
+            write_entry(cache_path, payload, CAMPAIGN_SCHEMA_VERSION)
+
+    run_tasks([job], commit, already_done, supervisor=supervisor)
+    return results[0] if results else None

@@ -68,7 +68,12 @@ from repro.sim.session import SimSession, functional_warmup
 from repro.store import open_dir, read_entry, stable_digest, write_entry
 from repro.structures.strike import MbuConfig, burst_bits
 from repro.structures.strike import entry_bits as strike_entry_bits
-from repro.workload.mixes import TABLE2_MIXES, WorkloadMix
+from repro.workload.mixes import (
+    WorkloadLike,
+    resolve_workload,
+    workload_label,
+    workload_programs,
+)
 
 #: Seed-substream index per structure (order is part of the RNG contract;
 #: never reorder).
@@ -178,7 +183,7 @@ def _golden_key(programs: Sequence[str], policy: str, config: MachineConfig,
                           "machine": asdict(config), "sim": asdict(sim)})
 
 
-def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
+def golden_run(workload: WorkloadLike, policy: str,
                config: MachineConfig, sim: SimConfig) -> GoldenRun:
     """Run (or recall) the fault-free reference for one configuration.
 
@@ -187,9 +192,7 @@ def golden_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
     must end taint-clean, which is asserted — a dirty golden run means the
     taint model leaked and every classification would be garbage.
     """
-    programs = (workload.programs if isinstance(workload, WorkloadMix)
-                else list(workload))
-    key = _golden_key(programs, policy, config, sim)
+    key = _golden_key(workload_programs(workload), policy, config, sim)
     hit = _GOLDEN_MEMO.get(key)
     if hit is not None:
         _GOLDEN_MEMO.move_to_end(key)
@@ -353,7 +356,7 @@ class _ForcedCrash:
 # -- one faulty run ----------------------------------------------------------------
 
 
-def _contained_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
+def _contained_run(workload: WorkloadLike, policy: str,
                    config: MachineConfig, sim: SimConfig, golden: GoldenRun,
                    live: LiveConfig, extra_observers: Sequence[object],
                    ) -> Tuple[Optional[InjectionOutcome], str, DigestRecorder]:
@@ -396,7 +399,7 @@ def _contained_run(workload: Union[WorkloadMix, Sequence[str]], policy: str,
 
 
 def run_one_strike(spec: StrikeSpec,
-                   workload: Union[WorkloadMix, Sequence[str]], policy: str,
+                   workload: WorkloadLike, policy: str,
                    config: MachineConfig, sim: SimConfig, golden: GoldenRun,
                    protection: CoercibleProtection,
                    live: LiveConfig) -> LiveStrikeRecord:
@@ -425,7 +428,7 @@ def run_one_strike(spec: StrikeSpec,
 
 
 def run_forced_strike(kind: str,
-                      workload: Union[WorkloadMix, Sequence[str]],
+                      workload: WorkloadLike,
                       policy: str, config: MachineConfig, sim: SimConfig,
                       golden: GoldenRun, live: LiveConfig) -> LiveStrikeRecord:
     """Run one guaranteed-outcome strike (watchdog / containment probes).
@@ -577,12 +580,6 @@ class LiveBatchJob:
         return (f"live/{self.workload_name}/{self.structure.value}"
                 f"/{lo}-{hi}")
 
-    def _workload(self) -> Union[WorkloadMix, List[str]]:
-        mix = TABLE2_MIXES.get(self.workload_name)
-        if mix is not None and tuple(mix.programs) == self.programs:
-            return mix
-        return list(self.programs)
-
     def key(self) -> Dict[str, object]:
         key = {
             "live_schema": CAMPAIGN_SCHEMA_VERSION,
@@ -610,7 +607,7 @@ class LiveBatchJob:
         return stable_digest(self.key())
 
     def run(self) -> Dict[str, object]:
-        workload = self._workload()
+        workload = resolve_workload(self.workload_name, self.programs)
         golden = golden_run(workload, self.policy, self.config, self.sim)
         num_threads = len(golden.names)
         capacity = machine_capacity(self.structure, self.config, num_threads)
@@ -643,7 +640,7 @@ def _batched(indices: Sequence[int], batch: int) -> List[Tuple[int, ...]]:
             for i in range(0, len(indices), batch)]
 
 
-def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
+def plan_live_batches(workload: WorkloadLike,
                       injections: int = 24,
                       structures: Sequence[Structure] = INJECTABLE,
                       policy: str = "ICOUNT",
@@ -675,12 +672,9 @@ def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
                          f"supported: {list(INJECTABLE)}")
     if injections < 0:
         raise ReproError("injections must be >= 0")
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
-    programs = tuple(workload.programs if isinstance(workload, WorkloadMix)
-                     else workload)
     return [
-        LiveBatchJob(workload_name=name, programs=programs,
+        LiveBatchJob(workload_name=workload_label(workload),
+                     programs=workload_programs(workload),
                      policy=policy_name, config=config, sim=base_sim,
                      seed=seed, protection=protection, live=live,
                      structure=structure, indices=batch, mbu=mbu)
@@ -689,7 +683,7 @@ def plan_live_batches(workload: Union[WorkloadMix, Sequence[str]],
     ]
 
 
-def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
+def run_live_campaign(workload: WorkloadLike,
                       injections: int = 24,
                       structures: Sequence[Structure] = INJECTABLE,
                       policy: str = "ICOUNT",
@@ -724,8 +718,6 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
     protection = ProtectionConfig.coerce(protection)
     mbu = mbu or MbuConfig()
     policy_name = policy if isinstance(policy, str) else policy.name
-    if jobs < 1:
-        raise ReproError("jobs must be >= 1")
     unknown = [k for k in forced if k not in FORCED_KINDS]
     if unknown:
         raise ReproError(f"unknown forced kinds {unknown}; "
@@ -736,8 +728,6 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
                                   config=config, sim=base_sim, seed=seed,
                                   protection=protection, live=live, mbu=mbu)
 
-    name = (workload.name if isinstance(workload, WorkloadMix)
-            else "+".join(workload))
     golden = golden_run(workload, policy_name, config, base_sim)
 
     cache_root = open_dir(cache_dir) if cache_dir is not None else None
@@ -781,32 +771,20 @@ def run_live_campaign(workload: Union[WorkloadMix, Sequence[str]],
             on_batch(job, {"records": list(entry["records"])})
         return True
 
-    cached = 0
-    executed = 0
-    if supervisor is None and jobs == 1:
-        for job in jobs_list:
-            if already_done(job):
-                cached += 1
-                continue
-            commit(job, job.run())
-            executed += 1
-    else:
-        if supervisor is None:
-            from repro.resilience import RetryPolicy, Supervisor
+    # Imported here: the pool machinery is start-up time a process that
+    # only imports this package should not pay.
+    from repro.resilience.supervisor import RetryPolicy, run_tasks
 
-            supervisor = Supervisor(
-                max_workers=jobs,
-                policy=RetryPolicy(retries=1, max_failures=0))
-        outcome = supervisor.run(jobs_list, commit=commit,
-                                 already_done=already_done)
-        cached = outcome.skipped
-        executed = outcome.executed
+    outcome = run_tasks(jobs_list, commit, already_done, jobs=jobs,
+                        supervisor=supervisor,
+                        policy=RetryPolicy(retries=1, max_failures=0))
 
-    result = LiveCampaignResult(workload=name, cycles=golden.cycles,
+    result = LiveCampaignResult(workload=workload_label(workload),
+                                cycles=golden.cycles,
                                 injections_per_structure=injections,
                                 protection=protection, mbu=mbu,
-                                batches_cached=cached,
-                                batches_executed=executed)
+                                batches_cached=outcome.skipped,
+                                batches_executed=outcome.executed)
     result.records = [by_key[key] for key in sorted(by_key)]
     for structure in structures:
         campaign = StructureCampaign(

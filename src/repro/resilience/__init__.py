@@ -5,6 +5,9 @@ multi-thousand-strike injection campaigns; a reproduction framework that
 *measures* soft-error resilience should itself survive faults in its own
 execution substrate.  This package supplies that discipline:
 
+- :func:`run_tasks` — the one way to run a batch of tasks: deduplicate,
+  skip what is already done, then run in-process (no supervisor, one
+  worker) or on a supervisor;
 - :class:`Supervisor` / :class:`RetryPolicy` — a supervised worker pool
   with per-job wall-clock timeouts, bounded retries under exponential
   backoff with deterministic jitter, broken-pool rebuilds, and a
@@ -33,6 +36,7 @@ from repro.resilience.supervisor import (
     RetryPolicy,
     SupervisedRun,
     Supervisor,
+    run_tasks,
 )
 
 __all__ = [
@@ -46,4 +50,5 @@ __all__ = [
     "RetryPolicy",
     "SupervisedRun",
     "Supervisor",
+    "run_tasks",
 ]

@@ -35,6 +35,14 @@ the caller receives a structured :class:`FailureReport`.
 Determinism: payloads cross process boundaries as exact pickled dicts and
 commit order never influences results keyed by digest, so supervised
 execution is byte-identical to inline execution when no faults fire.
+
+:func:`run_tasks` is the one way the framework runs a batch: it
+deduplicates, skips what is already done, and then runs the rest either
+in-process or on a supervisor.  Sweeps, interval campaigns and live
+campaigns all go through it.
+
+A pool worker exits on its own once its parent process is gone, so a
+SIGKILLed parent never leaves workers running.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CampaignCancelled, ConfigError, ExecutionFailed
 from repro.resilience.chaos import ChaosSpec, misbehave
@@ -60,6 +68,10 @@ DEFAULT_ABORT_GRACE = 30.0
 #: this bound even when no timeout or backoff horizon would otherwise
 #: wake the loop.
 STOP_POLL_SECONDS = 0.5
+
+#: How often a pool worker checks that the process that forked it is
+#: still its parent.
+PARENT_POLL_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -164,15 +176,31 @@ class _TaskState:
     last_error: str = ""
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    while True:
+        time.sleep(PARENT_POLL_SECONDS)
+        if os.getppid() != parent:
+            os._exit(1)
+
+
 def _apply_worker_env(env: Optional[Dict[str, str]]) -> None:
-    """Pool initializer: apply a supervisor's per-worker environment.
+    """Pool initializer: apply a supervisor's per-worker environment and
+    tie the worker's life to its parent's.
 
     The campaign service runs several campaigns' pools concurrently in
     one process; per-pool env (e.g. ``REPRO_BACKEND`` from a campaign
     spec) must not race through the service's own ``os.environ``.
+
+    A worker whose parent is SIGKILLed is reparented and would otherwise
+    run on.  A daemon thread notices the parent pid change and exits the
+    worker.  ``PR_SET_PDEATHSIG`` would not do: it fires when the forking
+    *thread* exits, and the service forks its pools from per-campaign
+    threads.
     """
     if env:
         os.environ.update(env)
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="parent-watch", daemon=True).start()
 
 
 def _run_task(task, attempt: int):
@@ -187,6 +215,61 @@ def _run_task(task, attempt: int):
 
         payload = dict(CORRUPT_PAYLOAD)
     return task.digest(), payload
+
+
+def unique_pending(tasks: Iterable[object],
+                   already_done: Optional[Callable[[object], bool]] = None
+                   ) -> Tuple[Dict[str, object], int]:
+    """Deduplicate ``tasks`` by digest and drop those ``already_done``
+    answers; returns the rest keyed by digest, in first-seen order, and
+    the number skipped."""
+    pending: Dict[str, object] = {}
+    seen = set()
+    skipped = 0
+    for task in tasks:
+        digest = task.digest()
+        if digest in seen:
+            continue
+        seen.add(digest)
+        if already_done is not None and already_done(task):
+            skipped += 1
+            continue
+        pending[digest] = task
+    return pending, skipped
+
+
+def run_tasks(tasks: Iterable[object],
+              commit: Callable[[object, dict], None],
+              already_done: Optional[Callable[[object], bool]] = None, *,
+              jobs: int = 1, supervisor=None,
+              policy: Optional[RetryPolicy] = None) -> SupervisedRun:
+    """Run a batch of tasks: the one place that picks in-process or pool.
+
+    Duplicate tasks (same digest) run once and tasks ``already_done``
+    answers are counted as ``skipped``.  With no ``supervisor`` and
+    ``jobs == 1`` the rest run in-process, in order: each payload is
+    validated before ``commit``, and a task's own exception propagates
+    unchanged.  Otherwise they run on ``supervisor`` (a
+    :class:`Supervisor` or anything with its ``run`` contract, such as
+    the service's fleet executor), or on a fresh
+    ``Supervisor(jobs, policy)``.
+    """
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    pending, skipped = unique_pending(tasks, already_done)
+    if not pending or (supervisor is None and jobs == 1):
+        for task in pending.values():
+            payload = task.run()
+            task.validate(payload)
+            commit(task, payload)
+        return SupervisedRun(executed=len(pending), skipped=skipped,
+                             report=FailureReport())
+    if supervisor is None:
+        supervisor = Supervisor(max_workers=jobs, policy=policy)
+    outcome = supervisor.run(pending.values(), commit)
+    return SupervisedRun(executed=outcome.executed,
+                         skipped=skipped + outcome.skipped,
+                         report=outcome.report)
 
 
 class Supervisor:
@@ -257,17 +340,10 @@ class Supervisor:
         it.  Returns the batch outcome; permanent failures also
         accumulate on :attr:`report`.
         """
-        states: Dict[str, _TaskState] = {}
-        skipped = 0
-        for task in tasks:
-            digest = task.digest()
-            if digest in states:
-                continue
-            if already_done is not None and already_done(task):
-                skipped += 1
-                continue
-            states[digest] = _TaskState(task=task, digest=digest,
-                                        label=task.label)
+        pending, skipped = unique_pending(tasks, already_done)
+        states = {digest: _TaskState(task=task, digest=digest,
+                                     label=task.label)
+                  for digest, task in pending.items()}
         batch = FailureReport()
         if not states:
             return SupervisedRun(executed=0, skipped=skipped, report=batch)
@@ -515,8 +591,6 @@ class Supervisor:
 
     def _new_pool(self, jobs: int) -> ProcessPoolExecutor:
         workers = max(1, min(self.max_workers, jobs))
-        if self.worker_env is None:
-            return ProcessPoolExecutor(max_workers=workers)
         return ProcessPoolExecutor(max_workers=workers,
                                    initializer=_apply_worker_env,
                                    initargs=(self.worker_env,))

@@ -11,11 +11,14 @@ service:
   content-hash identity (the dedup key);
 - :mod:`repro.service.store` — the content-hash cache promoted to a
   shared artifact store with per-campaign manifests;
-- :mod:`repro.service.scheduler` — shards specs into supervised job
-  units (:class:`~repro.faultinject.LiveBatchJob`,
-  :class:`~repro.faultinject.CampaignJob`, reproduce prewarm jobs),
-  executes them on per-campaign supervisor pools, and streams progress
-  with partial Wilson intervals as batches land;
+- :mod:`repro.service.scheduler` — hands each spec to the library
+  entry point that runs it (:func:`~repro.faultinject.run_live_campaign`,
+  :func:`~repro.faultinject.run_campaign`, reproduce prewarm) with a
+  per-campaign supervisor; every one of them runs its job units
+  (:class:`~repro.faultinject.LiveBatchJob`,
+  :class:`~repro.faultinject.CampaignJob`, simulation jobs) through
+  :func:`repro.resilience.run_tasks`, and progress streams with partial
+  Wilson intervals as batches land;
 - :mod:`repro.service.server` — the asyncio REST/JSON front end
   (``POST /campaigns``, ``GET /campaigns/{id}``, ...).
 
@@ -37,7 +40,9 @@ remote worker shards (``repro-sim worker --connect``) register over the
 same HTTP protocol and run live batches under time-bounded, heartbeat-
 renewed leases with fencing tokens — at-least-once dispatch, exactly-once
 commit, hedged redispatch of slow shards, and graceful degradation to
-the local pool when the whole fleet is lost.
+the local pool when the whole fleet is lost.  :class:`FleetExecutor`
+keeps the supervisor's ``run`` contract, so ``run_tasks`` drives it like
+a local pool.
 """
 
 from repro.service.fleet import (

@@ -75,6 +75,7 @@ from repro.resilience.supervisor import (
     RetryPolicy,
     Supervisor,
     SupervisedRun,
+    unique_pending,
 )
 from repro.service.leases import DEFAULT_LEASE_TIMEOUT, LeaseTable
 from repro.structures.strike import MbuConfig
@@ -463,18 +464,8 @@ class FleetExecutor:
         return self._stop.is_set()
 
     def run(self, tasks, commit, already_done=None) -> SupervisedRun:
-        skipped = 0
-        jobs: List[LiveBatchJob] = []
-        seen: Set[str] = set()
-        for task in tasks:
-            digest = task.digest()
-            if digest in seen:
-                continue
-            seen.add(digest)
-            if already_done is not None and already_done(task):
-                skipped += 1
-                continue
-            jobs.append(task)
+        pending, skipped = unique_pending(tasks, already_done)
+        jobs: List[LiveBatchJob] = list(pending.values())
         batch_report = FailureReport()
         if not jobs:
             return SupervisedRun(executed=0, skipped=skipped,

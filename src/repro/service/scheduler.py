@@ -804,7 +804,7 @@ class CampaignScheduler:
 
     def _run_interval(self, campaign: _Campaign, supervisor: Supervisor
                       ) -> Tuple[Dict[str, object], bool]:
-        from repro.faultinject import InjectionOutcome, run_campaign_supervised
+        from repro.faultinject import InjectionOutcome, run_campaign
         from repro.faultinject.campaign import INJECTABLE, _campaign_payload
 
         spec = campaign.spec
@@ -812,10 +812,11 @@ class CampaignScheduler:
                       else INJECTABLE)
         sim = self._sim_config(spec, len(spec.programs))
         self._bump(campaign, lambda c: setattr(c, "batches_total", 1))
-        result = run_campaign_supervised(
-            list(spec.programs), supervisor, injections=spec.strikes,
+        result = run_campaign(
+            list(spec.programs), injections=spec.strikes,
             structures=structures, policy=spec.policy, sim=sim,
-            seed=spec.seed, cache_dir=self.store.cache_dir)
+            seed=spec.seed, cache_dir=self.store.cache_dir,
+            supervisor=supervisor)
         if result is None:
             # Failed permanently within the budget: degraded, no artifact.
             return {"kind": "interval", "spec": spec.to_payload(),

@@ -14,7 +14,7 @@ the MEM 8-context workload has a single group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.workload.spec2000 import Category, get_profile
@@ -115,3 +115,29 @@ def mixes_for(num_threads: int, mix_type: str | None = None) -> List[WorkloadMix
             + (f" and type {mix_type}" if mix_type else "")
         )
     return sorted(out, key=lambda m: m.name)
+
+
+WorkloadLike = Union[WorkloadMix, Sequence[str]]
+
+
+def workload_label(workload: WorkloadLike) -> str:
+    """The name a run records for this workload."""
+    if isinstance(workload, WorkloadMix):
+        return workload.name
+    return "+".join(workload)
+
+
+def workload_programs(workload: WorkloadLike) -> Tuple[str, ...]:
+    if isinstance(workload, WorkloadMix):
+        return workload.programs
+    return tuple(workload)
+
+
+def resolve_workload(name: str, programs: Sequence[str]
+                     ) -> Union[WorkloadMix, List[str]]:
+    """The Table 2 mix ``name`` when it holds exactly ``programs``, else
+    the program list: how a picklable job turns back into a workload."""
+    mix = TABLE2_MIXES.get(name)
+    if mix is not None and mix.programs == tuple(programs):
+        return mix
+    return list(programs)

@@ -7,8 +7,9 @@ from repro.avf.account import VulnerabilityAccount
 from repro.avf.structures import Structure
 from repro.config import SimConfig
 from repro.errors import ReproError
-from repro.faultinject import InjectionOutcome, run_campaign
+from repro.faultinject import CampaignJob, InjectionOutcome, run_campaign
 from repro.faultinject.campaign import _occupancy_timelines
+from repro.resilience import CheckpointJournal, RetryPolicy, Supervisor
 from repro.workload.mixes import get_mix
 
 
@@ -123,16 +124,51 @@ class TestZeroStrikeCampaign:
 class TestCampaignCacheAndJobs:
     KW = dict(injections=400, sim=SimConfig(max_instructions=800), seed=5)
 
-    def test_jobs_does_not_change_outcomes(self):
-        serial = run_campaign(get_mix("2-CPU-A"), jobs=1, **self.KW)
-        threaded = run_campaign(get_mix("2-CPU-A"), jobs=4, **self.KW)
-        assert serial.summary() == threaded.summary()
-        for s, c in serial.structures.items():
-            assert threaded.structures[s].outcomes == c.outcomes
+    @staticmethod
+    def _supervisor(journal_path):
+        return Supervisor(max_workers=2, policy=RetryPolicy(retries=0),
+                          journal=CheckpointJournal(journal_path))
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ReproError):
-            run_campaign(get_mix("2-CPU-A"), jobs=0, **self.KW)
+    @staticmethod
+    def _payload(result):
+        from repro.faultinject.campaign import _campaign_payload
+
+        return _campaign_payload(result)
+
+    def test_supervised_equals_inline(self, tmp_path):
+        inline = run_campaign(get_mix("2-CPU-A"), **self.KW)
+        sup = self._supervisor(tmp_path / "journal.jsonl")
+        supervised = run_campaign(get_mix("2-CPU-A"), supervisor=sup,
+                                  **self.KW)
+        assert len(sup.journal.done) == 1  # ran in a worker
+        assert self._payload(supervised) == self._payload(inline)
+        assert supervised.summary() == inline.summary()
+
+    def test_supervised_run_reuses_inline_cache_entry(self, tmp_path):
+        first = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
+                             **self.KW)
+        sup = self._supervisor(tmp_path / "journal.jsonl")
+        again = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
+                             supervisor=sup, **self.KW)
+        assert self._payload(again) == self._payload(first)
+        assert len(list(tmp_path.glob("campaign-*.json"))) == 1
+        assert not sup.journal.done  # executed 0 tasks
+
+    def test_inline_run_reuses_supervised_cache_entry(self, tmp_path,
+                                                      monkeypatch):
+        sup = self._supervisor(tmp_path / "journal.jsonl")
+        first = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
+                             supervisor=sup, **self.KW)
+        assert len(sup.journal.done) == 1
+
+        def never(self):
+            raise AssertionError("served from the cache: must not run")
+
+        monkeypatch.setattr(CampaignJob, "run", never)
+        again = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
+                             **self.KW)
+        assert self._payload(again) == self._payload(first)
+        assert len(list(tmp_path.glob("campaign-*.json"))) == 1
 
     def test_disk_cache_round_trip(self, tmp_path):
         first = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path, **self.KW)

@@ -7,9 +7,18 @@ spec and asserts the run recovers — or degrades — exactly as specified.
 
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
 import threading
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ConfigError, ExecutionFailed, MissingResultError
 from repro.experiments.parallel import (
@@ -33,6 +42,7 @@ from repro.resilience import (
     FailureReport,
     RetryPolicy,
     Supervisor,
+    run_tasks,
 )
 from repro.store import sweep_tmp_orphans
 from repro.workload.mixes import get_mix
@@ -291,6 +301,155 @@ class TestDegradedReproduce:
         run_all(out, only=["fig1_avf_profile"], cache=ResultCache(),
                 supervisor=Supervisor(max_workers=2))
         assert not (out / "failures.json").exists()
+
+
+@dataclass(frozen=True)
+class _Echo:
+    """A trivial task: its payload is its value; negative values are
+    rejected by ``validate``; ``fail`` makes ``run`` raise."""
+
+    key: str
+    value: int = 0
+    fail: bool = False
+
+    @property
+    def label(self) -> str:
+        return f"echo/{self.key}"
+
+    def digest(self) -> str:
+        return self.key
+
+    def run(self) -> dict:
+        if self.fail:
+            raise KeyError(self.key)
+        return {"value": self.value}
+
+    def validate(self, payload: dict) -> None:
+        if payload["value"] < 0:
+            raise ValueError("negative value")
+
+
+class TestRunTasks:
+    """:func:`run_tasks`, the one batch runner, on both of its paths."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_digests_run_once(self, jobs, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+        committed = []
+        outcome = run_tasks(
+            [_Echo("a", 1), _Echo("a", 2), _Echo("b", 3)],
+            lambda task, payload: committed.append((task.key,
+                                                    payload["value"])),
+            jobs=jobs)
+        assert sorted(committed) == [("a", 1), ("b", 3)]
+        assert outcome.executed == 2 and outcome.skipped == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_already_done_tasks_are_skipped(self, jobs, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+        committed = []
+        outcome = run_tasks(
+            [_Echo("a"), _Echo("b"), _Echo("c")],
+            lambda task, payload: committed.append(task.key),
+            already_done=lambda task: task.key != "b", jobs=jobs)
+        assert committed == ["b"]
+        assert outcome.executed == 1 and outcome.skipped == 2
+
+    def test_inline_reraises_the_task_exception(self):
+        committed = []
+        with pytest.raises(KeyError, match="boom"):
+            run_tasks([_Echo("ok"), _Echo("boom", fail=True)],
+                      lambda task, payload: committed.append(task.key))
+        assert committed == ["ok"]
+
+    def test_inline_never_commits_a_rejected_payload(self):
+        committed = []
+        with pytest.raises(ValueError, match="negative"):
+            run_tasks([_Echo("bad", -1)],
+                      lambda task, payload: committed.append(task.key))
+        assert committed == []
+
+    def test_rejects_bad_jobs(self):
+        with pytest.raises(ConfigError):
+            run_tasks([_Echo("a")], lambda task, payload: None, jobs=0)
+
+
+#: Runs two sleeping tasks on a two-worker pool and prints each worker's
+#: pid from inside the task.
+ORPHAN_SCRIPT = """
+import os, time
+from repro.resilience import Supervisor
+
+class Sleeper:
+    def __init__(self, n):
+        self.label = f"sleep/{n}"
+    def digest(self):
+        return self.label
+    def run(self):
+        print(os.getpid(), flush=True)
+        time.sleep(120)
+        return {}
+    def validate(self, payload):
+        pass
+
+Supervisor(max_workers=2).run([Sleeper(0), Sleeper(1)],
+                              commit=lambda task, payload: None)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (a reparented zombie
+    may never be reaped when PID 1 does not reap)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _read_pids(stream, count: int, timeout: float) -> list:
+    data = b""
+    deadline = time.monotonic() + timeout
+    while data.count(b"\n") < count:
+        remaining = deadline - time.monotonic()
+        assert remaining > 0, f"workers reported only {data!r}"
+        ready, _, _ = select.select([stream], [], [], remaining)
+        if ready:
+            chunk = os.read(stream.fileno(), 4096)
+            assert chunk, f"script exited early after {data!r}"
+            data += chunk
+    return [int(pid) for pid in data.split()]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process state from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_after_parent_is_sigkilled(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != CHAOS_ENV_VAR}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT],
+                                stdout=subprocess.PIPE, env=env)
+        pids: list = []
+        try:
+            pids = _read_pids(proc.stdout, 2, timeout=60)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.2)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            proc.kill()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            proc.stdout.close()
+            proc.wait()
 
 
 class TestPlannerValidation:
