@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 from repro.avf.fit import DEFAULT_RAW_FIT_PER_BIT, fit_estimate
 from repro.config import SimConfig
-from repro.errors import MissingResultError, ReproError
+from repro.errors import ReproError
 from repro.fetch.registry import EXTENSION_POLICY_NAMES, POLICY_NAMES
 from repro.sim.backends import BACKEND_NAMES, apply_backend_env
 from repro.sim.simulator import simulate
@@ -162,40 +162,29 @@ def _cache_from_args(args: argparse.Namespace):
     return ResultCache(cache_dir=cache_dir)
 
 
-def _supervisor_from_args(args: argparse.Namespace, tag: str):
-    """Build the Supervisor (and checkpoint journal) the flags ask for.
+def _supervisor_from_args(args: argparse.Namespace):
+    """Build the Supervisor the resilience flags ask for.
 
     Returns ``None`` when nothing asks for supervision: no resilience
     flag was given and no chaos spec is in the environment.  (A bare
-    ``--jobs N`` still fans out, via :func:`run_jobs`'s own zero-retry
-    supervisor, with behaviour identical to the pre-resilience pool.)
+    ``--jobs N`` still fans out, via :func:`run_tasks`'s own default
+    supervisor.)
     """
     import os
-    from pathlib import Path
 
-    from repro.resilience import (CHAOS_ENV_VAR, CheckpointJournal,
-                                  RetryPolicy, Supervisor)
+    from repro.resilience import CHAOS_ENV_VAR, RetryPolicy, Supervisor
 
     flagged = (args.job_timeout is not None or args.retries is not None
-               or args.max_failures is not None or args.resume
+               or args.max_failures is not None
                or args.failures_out is not None)
     if not flagged and not os.environ.get(CHAOS_ENV_VAR):
         return None
-    if args.resume and (args.no_cache or not args.cache_dir):
-        raise ReproError("--resume requires --cache-dir: the journal marks "
-                         "jobs done, but their results live in the cache")
-    journal = None
-    if args.cache_dir and not args.no_cache:
-        cache_dir = Path(args.cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        journal = CheckpointJournal(cache_dir / f"journal-{tag}.jsonl",
-                                    resume=args.resume)
     policy = RetryPolicy(
         retries=2 if args.retries is None else args.retries,
         job_timeout=args.job_timeout,
         max_failures=0 if args.max_failures is None else args.max_failures,
     )
-    return Supervisor(max_workers=args.jobs, policy=policy, journal=journal)
+    return Supervisor(max_workers=args.jobs, policy=policy)
 
 
 def _finish_resilient(supervisor, failures_out) -> int:
@@ -236,104 +225,52 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         os.environ["REPRO_SCALE"] = str(args.scale)
     _apply_audit_env(args)
     apply_backend_env(args.backend)
-    from repro import experiments
-    from repro.experiments.parallel import prewarm_artefacts
-    from repro.experiments.reproduce import ARTEFACTS
+    from repro.experiments.reproduce import ARTEFACTS, render_artefacts
     from repro.experiments.runner import ExperimentScale
 
-    runners = {
-        1: (experiments.run_figure1, experiments.format_figure1),
-        2: (experiments.run_figure2, experiments.format_figure2),
-        3: (experiments.run_figure3, experiments.format_figure3),
-        4: (experiments.run_figure4, experiments.format_figure4),
-        5: (experiments.run_figure5, experiments.format_figure5),
-        6: (experiments.run_figure6, experiments.format_figure6),
-        7: (experiments.run_figure7, experiments.format_figure7),
-        8: (experiments.run_figure8, experiments.format_figure8),
-    }
-    scale = ExperimentScale.from_env()
-    cache = _cache_from_args(args)
-    supervisor = _supervisor_from_args(args, f"fig{args.number}")
+    supervisor = _supervisor_from_args(args)
     artefact = next(n for n in ARTEFACTS if n.startswith(f"fig{args.number}_"))
-    run, fmt = runners[args.number]
-    try:
-        prewarm_artefacts([artefact], scale, cache, jobs=args.jobs,
-                          supervisor=supervisor)
-        print(fmt(run(scale, cache)))
-    except MissingResultError as exc:
-        # A job exhausted its retries but stayed within --max-failures:
-        # emit the marker instead of a traceback and report degradation.
-        print(f"figure {args.number}: DEGRADED — MISSING({exc.label})")
-        print(f"(job {exc.digest[:12]} failed permanently; "
-              f"rerun with --retries/--resume)")
+    texts, _ = render_artefacts([artefact], ExperimentScale.from_env(),
+                                _cache_from_args(args), jobs=args.jobs,
+                                supervisor=supervisor)
+    print(texts[artefact])
     return _finish_resilient(supervisor, args.failures_out)
+
+
+#: ``repro-sim inject`` defaults for absent flags, per campaign kind:
+#: (instructions per thread, strikes per structure).
+_INJECT_DEFAULTS = {"interval": (2500, 5000), "live": (300, 24)}
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.faultinject import run_campaign
+    """Run the campaign spec the flags describe, exactly as the service
+    would, and print its summary."""
+    from repro.service.runner import run_spec
+    from repro.service.specs import parse_spec
 
+    live_only = [flag for flag, value in (
+        ("--protect", args.protect), ("--mbu-len", args.mbu_len),
+        ("--strike-batch", args.strike_batch), ("--force", args.force or None))
+        if value is not None]
+    if live_only and not args.live:
+        raise ReproError(f"{', '.join(live_only)}: only meaningful "
+                         f"with --live")
     apply_backend_env(args.backend)
-    if args.live:
-        return _cmd_inject_live(args)
-    workload = _resolve_workload(args.workload)
-    threads = (workload.num_threads if hasattr(workload, "num_threads")
-               else len(workload))
-    instructions = 2500 if args.instructions is None else args.instructions
-    strikes = 5000 if args.strikes is None else args.strikes
-    sim = SimConfig(max_instructions=instructions * threads,
-                    seed=args.seed)
-    cache_dir = None if args.no_cache else args.cache_dir
-    tag = (args.workload[0] if len(args.workload) == 1
-           else "+".join(args.workload))
-    supervisor = _supervisor_from_args(args, f"inject-{tag}")
-    result = run_campaign(workload, injections=strikes, sim=sim,
-                          cache_dir=cache_dir, supervisor=supervisor)
-    if result is None:
-        print(f"inject: DEGRADED — MISSING(campaign/{tag}) "
-              f"(campaign failed permanently; see failures report)")
-    else:
-        print(result.summary())
-    return _finish_resilient(supervisor, args.failures_out)
-
-
-def _cmd_inject_live(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.faultinject import LiveConfig, run_live_campaign
-    from repro.faultinject.live import INJECTABLE
-    from repro.structures.strike import MbuConfig
-
-    workload = _resolve_workload(args.workload)
-    threads = (workload.num_threads if hasattr(workload, "num_threads")
-               else len(workload))
-    instructions = 300 if args.instructions is None else args.instructions
-    strikes = 24 if args.strikes is None else args.strikes
-    sim = SimConfig(max_instructions=instructions * threads,
-                    seed=args.seed)
-    if args.structures:
-        by_name = {s.value.lower(): s for s in INJECTABLE}
-        try:
-            structures = tuple(by_name[name.lower()]
-                               for name in args.structures)
-        except KeyError as exc:
-            raise ReproError(f"unknown structure {exc.args[0]!r}; "
-                             f"known: {', '.join(sorted(by_name))}")
-    else:
-        structures = INJECTABLE
-    live = LiveConfig()
-    if args.strike_batch is not None:
-        live = replace(live, strike_batch=args.strike_batch)
-    tag = (args.workload[0] if len(args.workload) == 1
-           else "+".join(args.workload))
-    supervisor = _supervisor_from_args(args, f"inject-live-{tag}")
-    result = run_live_campaign(
-        workload, injections=strikes, structures=structures,
-        sim=sim, seed=args.seed,
-        protection=args.protect, live=live,
-        mbu=MbuConfig(max_len=args.mbu_len),
-        forced=tuple(args.force), jobs=args.jobs, supervisor=supervisor,
-        cache_dir=None if args.no_cache else args.cache_dir)
-    print(result.summary())
+    kind = "live" if args.live else "interval"
+    instructions, strikes = _INJECT_DEFAULTS[kind]
+    request = {"kind": kind, "workload": args.workload, "seed": args.seed,
+               "instructions": args.instructions or instructions,
+               "strikes": strikes if args.strikes is None else args.strikes,
+               "structures": args.structures,
+               "protection": (None if args.protect is None
+                              else args.protect.label()),
+               "mbu_len": args.mbu_len, "strike_batch": args.strike_batch}
+    spec = parse_spec({k: v for k, v in request.items() if v is not None})
+    supervisor = _supervisor_from_args(args)
+    payload, _ = run_spec(spec, supervisor=supervisor, jobs=args.jobs,
+                          cache_dir=None if args.no_cache else args.cache_dir,
+                          forced=tuple(args.force))
+    print(payload["summary"])
     return _finish_resilient(supervisor, args.failures_out)
 
 
@@ -373,7 +310,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"  {name:<28} {elapsed:6.1f}s render")
 
     cache = _cache_from_args(args)
-    supervisor = _supervisor_from_args(args, "reproduce")
+    supervisor = _supervisor_from_args(args)
     print(f"Reproducing into {args.out} ...")
     report = run_all(Path(args.out), only=only, progress=progress,
                      jobs=args.jobs, cache=cache, supervisor=supervisor,
@@ -434,9 +371,6 @@ def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
                      help="tolerate up to N permanently failed jobs and "
                           "emit degraded artefacts with MISSING markers "
                           "(default 0 = abort on first permanent failure)")
-    grp.add_argument("--resume", action="store_true",
-                     help="skip jobs recorded done in the checkpoint "
-                          "journal under --cache-dir")
     grp.add_argument("--failures-out", default=None, metavar="PATH",
                      help="write the machine-readable failure report "
                           "(failures.json) to this path")
@@ -723,25 +657,26 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="instructions per thread (default: 2500, "
                              "or 300 live)")
-    inject.add_argument("--seed", type=int, default=1)
+    inject.add_argument("--seed", type=int, default=1,
+                        help="simulation and strike seed (default 1)")
+    inject.add_argument("--structures", nargs="+", default=None,
+                        metavar="STRUCT",
+                        help="restrict strikes to these structures "
+                             "(iq rob lsq_tag lsq_data reg fu)")
     live_grp = inject.add_argument_group(
         "live injection (bit flips in a running simulation)")
     live_grp.add_argument("--live", action="store_true",
                           help="flip real bits mid-run and classify each "
                                "strike against a golden run "
                                "(masked/SDC/DUE/hang)")
-    live_grp.add_argument("--structures", nargs="+", default=None,
-                          metavar="STRUCT",
-                          help="restrict live strikes to these structures "
-                               "(iq rob lsq_tag lsq_data reg fu)")
-    live_grp.add_argument("--protect", default="none", type=_protect_arg,
+    live_grp.add_argument("--protect", default=None, type=_protect_arg,
                           metavar="SCHEME|STRUCT=SCHEME,...",
                           help="protection assignment: one scheme for every "
                                "structure (none, parity, secded, dec-bch; "
                                "'ecc' is a secded alias) or a per-structure "
                                "list like iq=secded,rob=parity "
                                "(default none)")
-    live_grp.add_argument("--mbu-len", type=_mbu_len, default=1,
+    live_grp.add_argument("--mbu-len", type=_mbu_len, default=None,
                           metavar="N",
                           help="multi-bit upset mode: clusters of up to N "
                                "adjacent bits per strike (1-3, default 1 = "

@@ -86,7 +86,7 @@ class CampaignCancelled(ReproError):
 
     Raised by :class:`repro.resilience.Supervisor` out of :meth:`run`
     after a graceful drain: every future that finished during the grace
-    period has been committed (and journaled), every other in-flight job
+    period has been committed, every other in-flight job
     has been reclaimed by tearing the pool down, and nothing new was
     submitted.  ``committed`` counts payloads committed by the drain
     itself; ``reclaimed`` counts in-flight jobs abandoned un-run.  The

@@ -126,7 +126,7 @@ def run_jobs(jobs: Iterable[SimJob], cache: ResultCache,
 
     Execution goes through :func:`~repro.resilience.run_tasks`: inline
     for one worker without a ``supervisor``, else on the caller's
-    supervisor (its retry policy, journal and failure budget) or a
+    supervisor (its retry policy and failure budget) or a
     default one with zero retries.  Every payload completed before a
     mid-batch failure is committed to the cache before the failure
     propagates (as :class:`~repro.errors.ExecutionFailed`).
@@ -257,7 +257,7 @@ def prewarm_artefacts(names: Sequence[str], scale: ExperimentScale,
     Unknown artefact names raise :class:`~repro.errors.ConfigError` — a
     typo must not masquerade as a fully-warm cache.  With a
     ``supervisor``, both planning stages run supervised and share its
-    retry policy, journal and failure budget.
+    retry policy and failure budget.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")

@@ -14,20 +14,22 @@ cached results, so ``jobs=N`` produces byte-identical artefact text to
 ``jobs=1``, and a second invocation against a warm cache directory skips
 simulation entirely.
 
-With a :class:`~repro.resilience.Supervisor`, execution additionally
-survives worker crashes, hangs and corrupt payloads (retry/backoff,
-per-job timeouts, pool rebuilds, ``--resume`` from a checkpoint journal).
-Jobs that fail permanently within the supervisor's budget degrade
-gracefully: the affected artefacts render as explicit ``MISSING(<job>)``
-markers instead of raising, REPORT.md names them, and a machine-readable
-``failures.json`` lands next to the report.
+Both phases are :func:`render_artefacts`, which ``repro-sim figure`` and
+the campaign service's reproduce campaigns call too.  With a
+:class:`~repro.resilience.Supervisor`, execution additionally survives
+worker crashes, hangs and corrupt payloads (retry/backoff, per-job
+timeouts, pool rebuilds); rerunning on the same cache directory redoes
+nothing that finished.  Jobs that fail permanently within the
+supervisor's budget degrade gracefully: the affected artefacts render as
+explicit ``MISSING(<job>)`` markers instead of raising, REPORT.md names
+them, and a machine-readable ``failures.json`` lands next to the report.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import MissingResultError
 
@@ -81,7 +83,36 @@ def _degraded_text(name: str, exc: MissingResultError) -> str:
     return (f"{name}: DEGRADED — simulation set incomplete\n"
             f"MISSING({exc.label})\n"
             f"(job {exc.digest[:12]} failed permanently; "
-            f"see failures.json)")
+            f"see the failure report)")
+
+
+def render_artefacts(names: Sequence[str], scale: ExperimentScale,
+                     cache: ResultCache, jobs: int = 1, supervisor=None,
+                     progress: Optional[Callable[[str, float], None]] = None,
+                     ) -> Tuple[Dict[str, str], List[str]]:
+    """Run every simulation ``names`` need, then render each artefact.
+
+    The one render path of ``run_all``, ``repro-sim figure`` and the
+    service's reproduce campaigns.  Returns the texts keyed by name (in
+    ``names`` order) and the names rendered as a ``DEGRADED`` body with a
+    ``MISSING(<job>)`` marker because a simulation they need failed
+    permanently.  ``progress(name, seconds)`` follows each render.
+    """
+    prewarm_artefacts(list(names), scale, cache, jobs=jobs,
+                      supervisor=supervisor)
+    texts: Dict[str, str] = {}
+    degraded: List[str] = []
+    for name in names:
+        started = time.perf_counter()
+        try:
+            # Looked up at call time, so a wrapped entry is the one run.
+            texts[name] = ARTEFACTS[name](scale, cache)
+        except MissingResultError as exc:
+            texts[name] = _degraded_text(name, exc)
+            degraded.append(name)
+        if progress is not None:
+            progress(name, time.perf_counter() - started)
+    return texts, degraded
 
 
 def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
@@ -108,16 +139,20 @@ def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    selected: List[Tuple[str, Callable]] = [
-        (name, fn) for name, fn in ARTEFACTS.items()
-        if only is None or name in only
-    ]
-    # Every simulation runs here, up front; the per-artefact times below
-    # cover rendering from the warm cache only.
+    render_s: Dict[str, float] = {}
+
+    def rendered(name: str, seconds: float) -> None:
+        render_s[name] = seconds
+        if progress is not None:
+            progress(name, seconds)
+
     started = time.perf_counter()
-    prewarm_artefacts([name for name, _ in selected], scale, cache,
-                      jobs=jobs, supervisor=supervisor)
-    simulate_s = time.perf_counter() - started
+    texts, degraded = render_artefacts(
+        [name for name in ARTEFACTS if only is None or name in only],
+        scale, cache, jobs=jobs, supervisor=supervisor, progress=rendered)
+    # Every simulation runs up front; the per-artefact times cover
+    # rendering from the warm cache only.
+    simulate_s = time.perf_counter() - started - sum(render_s.values())
 
     report = [
         "# Reproduction report",
@@ -128,20 +163,10 @@ def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
         f"Simulation (all artefacts, {jobs} job(s)): {simulate_s:.1f}s wall.",
         "",
     ]
-    degraded: List[str] = []
-    for name, fn in selected:
-        started = time.perf_counter()
-        try:
-            text = fn(scale, cache)
-        except MissingResultError as exc:
-            text = _degraded_text(name, exc)
-            degraded.append(name)
-        elapsed = time.perf_counter() - started
+    for name, text in texts.items():
         (out_dir / f"{name}.txt").write_text(text + "\n")
         report += [f"## {name}", "", "```", text, "```",
-                   f"_(render {elapsed:.1f}s)_", ""]
-        if progress is not None:
-            progress(name, elapsed)
+                   f"_(render {render_s[name]:.1f}s)_", ""]
 
     failures = supervisor.report if supervisor is not None else None
     if failures or degraded:

@@ -324,10 +324,14 @@ def run_campaign(workload: WorkloadLike,
 
     The campaign is one :class:`CampaignJob` run through
     :func:`~repro.resilience.run_tasks`: in-process by default, or in a
-    worker under ``supervisor`` (its per-job timeout, retries, chaos
-    exposure and checkpoint journal).  ``cache_dir`` persists the result
-    as ``campaign-<digest>.json``, keyed by a content hash of every
-    input, so repeating an identical campaign either way is instant.
+    worker under ``supervisor`` (its per-job timeout, retries and chaos
+    exposure).  ``cache_dir`` persists the result as
+    ``campaign-<digest>.json``, keyed by a content hash of every input,
+    so repeating an identical campaign either way is instant — and a
+    killed campaign resumes by rerunning on the same ``cache_dir``.
+    ``repro-sim inject`` and the campaign service reach this through
+    :func:`repro.service.runner.run_spec`, so both draw strikes from the
+    spec's seed.
     Returns ``None`` only when a supervised campaign failed permanently
     within the supervisor's failure budget (the particulars are on
     ``supervisor.report``); beyond it

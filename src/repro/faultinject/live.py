@@ -557,8 +557,7 @@ class LiveBatchJob:
     Picklable: the worker re-derives the golden run from the campaign
     parameters (memoized per process, so a worker pays for it once) and
     runs its strikes.  The digest covers every outcome-affecting input, so
-    the supervisor's journal and the per-batch cache key resumed work
-    correctly.
+    the per-batch cache keys resumed work correctly.
     """
 
     workload_name: str
@@ -595,8 +594,8 @@ class LiveBatchJob:
             "indices": list(self.indices),
         }
         # Only present when bursts are on, so every historical single-bit
-        # digest — and with it the batch cache and supervisor journals —
-        # stays valid across the MBU upgrade.
+        # digest — and with it the batch cache — stays valid across the
+        # MBU upgrade.
         if self.mbu.enabled:
             key["mbu"] = self.mbu.to_payload()
         if self.protection.scrub_interval_cycles is not None:
@@ -705,12 +704,12 @@ def run_live_campaign(workload: WorkloadLike,
     classified against the golden run; ``forced`` adds guaranteed-outcome
     probe strikes (:data:`FORCED_KINDS`) reported separately.  With
     ``jobs > 1`` or an explicit ``supervisor``, strike batches execute on
-    the supervised worker pool (timeouts, retries, resume via the
-    supervisor's journal); results are identical either way.  ``cache_dir``
-    persists each batch as ``live-<digest>.json``.  ``on_batch(job,
-    payload)`` fires as each batch lands (including batches answered by
-    the cache) — the campaign service streams partial Wilson intervals
-    from it.
+    the supervised worker pool (timeouts, retries); results are identical
+    either way.  ``cache_dir`` persists each batch as
+    ``live-<digest>.json``, so rerunning on the same cache resumes the
+    campaign.  ``on_batch(job, payload, cached)`` fires as each batch
+    lands (``cached`` when the cache answered it) — the campaign service
+    streams partial Wilson intervals from it.
     """
     config = config or DEFAULT_CONFIG
     base_sim = sim or SimConfig(max_instructions=600)
@@ -758,7 +757,7 @@ def run_live_campaign(workload: WorkloadLike,
             by_key[(order[record.structure], record.index)] = record
         store_cached(job, payload)
         if on_batch is not None:
-            on_batch(job, payload)
+            on_batch(job, payload, False)
 
     def already_done(job: LiveBatchJob) -> bool:
         entry = load_cached(job)
@@ -768,7 +767,7 @@ def run_live_campaign(workload: WorkloadLike,
             record = LiveStrikeRecord.from_payload(raw)
             by_key[(order[record.structure], record.index)] = record
         if on_batch is not None:
-            on_batch(job, {"records": list(entry["records"])})
+            on_batch(job, {"records": list(entry["records"])}, True)
         return True
 
     # Imported here: the pool machinery is start-up time a process that

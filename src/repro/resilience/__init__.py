@@ -7,13 +7,13 @@ execution substrate.  This package supplies that discipline:
 
 - :func:`run_tasks` — the one way to run a batch of tasks: deduplicate,
   skip what is already done, then run in-process (no supervisor, one
-  worker) or on a supervisor;
+  worker) or on a supervisor.  "Already done" is whatever the verified
+  content store (:mod:`repro.store`) answers, so rerunning a killed
+  campaign on the same cache directory is its resume;
 - :class:`Supervisor` / :class:`RetryPolicy` — a supervised worker pool
   with per-job wall-clock timeouts, bounded retries under exponential
   backoff with deterministic jitter, broken-pool rebuilds, and a
   permanent-failure budget (:mod:`repro.resilience.supervisor`);
-- :class:`CheckpointJournal` — an append-only JSONL record of completed
-  job digests backing ``--resume`` (:mod:`repro.resilience.journal`);
 - :class:`FailureReport` / :class:`JobFailure` — the structured account
   of what could not be recovered, rendered as ``failures.json`` and as
   ``MISSING(<job>)`` markers in degraded artefacts;
@@ -29,7 +29,6 @@ from repro.resilience.chaos import (
     ChaosRule,
     ChaosSpec,
 )
-from repro.resilience.journal import CheckpointJournal
 from repro.resilience.supervisor import (
     FailureReport,
     JobFailure,
@@ -44,7 +43,6 @@ __all__ = [
     "ChaosInjectedError",
     "ChaosRule",
     "ChaosSpec",
-    "CheckpointJournal",
     "FailureReport",
     "JobFailure",
     "RetryPolicy",

@@ -284,7 +284,6 @@ class Supervisor:
 
     def __init__(self, max_workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
-                 journal=None,
                  worker_env: Optional[Dict[str, str]] = None,
                  on_failure: Optional[Callable[[JobFailure], None]] = None
                  ) -> None:
@@ -292,7 +291,6 @@ class Supervisor:
             raise ConfigError("max_workers must be >= 1")
         self.max_workers = max_workers
         self.policy = policy or RetryPolicy()
-        self.journal = journal
         self.worker_env = dict(worker_env) if worker_env else None
         self.on_failure = on_failure
         self.report = FailureReport()
@@ -333,7 +331,7 @@ class Supervisor:
 
         ``commit(task, payload)`` is called exactly once per validated
         success, as results arrive.  ``already_done(task)`` short-circuits
-        tasks the cache (or a resumed journal) can already answer.  The
+        tasks the cache can already answer.  The
         constructor's ``on_failure(failure)`` hook is called as each
         *permanent* failure lands (the campaign service streams these
         into live status payloads); retryable failures are invisible to
@@ -353,18 +351,11 @@ class Supervisor:
         futures: Dict[object, _TaskState] = {}
         deadlines: Dict[object, float] = {}
         pool = self._new_pool(len(states))
-        started: Dict[str, float] = {}
 
         def success(state: _TaskState, payload: dict) -> None:
             nonlocal executed
             commit(state.task, payload)
             executed += 1
-            if self.journal is not None:
-                elapsed = self._clock() - started.get(state.digest,
-                                                      self._clock())
-                self.journal.record_done(state.digest, state.label,
-                                         attempts=state.attempt + 1,
-                                         elapsed=elapsed)
 
         def collect(fut, state: _TaskState) -> Optional[str]:
             """Handle one finished future; returns a failure kind or None."""
@@ -409,11 +400,6 @@ class Supervisor:
                                  error=state.last_error or kind)
             batch.failures.append(failure)
             self.report.failures.append(failure)
-            if self.journal is not None:
-                self.journal.record_failed(state.digest, state.label,
-                                           attempts=state.attempt,
-                                           kind=kind,
-                                           error=failure.error)
             if self.on_failure is not None:
                 self.on_failure(failure)
 
@@ -447,7 +433,7 @@ class Supervisor:
 
             The mirror image of :func:`abort`, but nothing is a failure:
             futures that completed inside the grace period are committed
-            (and journaled) exactly as if the run had continued, the
+            exactly as if the run had continued, the
             still-running remainder is reclaimed by tearing the pool
             down (the hung-worker path), and no job is charged an
             attempt — a cancelled campaign's jobs must resume cleanly
@@ -490,7 +476,6 @@ class Supervisor:
                         break
                     del waiting[digest]
                     futures[fut] = state
-                    started[digest] = now
                     if self.policy.job_timeout is not None:
                         deadlines[fut] = now + self.policy.job_timeout
                 if rebuild:

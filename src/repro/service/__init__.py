@@ -3,22 +3,26 @@
 The paper's AVF methodology becomes decision-grade at fleet scale —
 millions of strikes across many configurations — which no single CLI
 invocation should own.  This package turns the supervised campaign
-substrate (result cache, checkpoint journal, supervised worker pool,
-live/interval injection campaigns, reproduce artefacts) into a shared
-service:
+substrate (verified result cache, supervised worker pool, live/interval
+injection campaigns, reproduce artefacts) into a shared service:
 
 - :mod:`repro.service.specs` — schema-validated campaign specs with a
   content-hash identity (the dedup key);
+- :mod:`repro.service.runner` — :func:`~repro.service.runner.run_spec`,
+  the one translation from a spec to a run
+  (:func:`~repro.faultinject.run_live_campaign`,
+  :func:`~repro.faultinject.run_campaign`, or
+  :func:`~repro.experiments.reproduce.render_artefacts`).  The
+  scheduler and ``repro-sim inject`` both call it, so a campaign
+  computes the same thing from either front end; every job unit
+  (:class:`~repro.faultinject.LiveBatchJob`,
+  :class:`~repro.faultinject.CampaignJob`, simulation jobs) runs
+  through :func:`repro.resilience.run_tasks`;
 - :mod:`repro.service.store` — the content-hash cache promoted to a
   shared artifact store with per-campaign manifests;
-- :mod:`repro.service.scheduler` — hands each spec to the library
-  entry point that runs it (:func:`~repro.faultinject.run_live_campaign`,
-  :func:`~repro.faultinject.run_campaign`, reproduce prewarm) with a
-  per-campaign supervisor; every one of them runs its job units
-  (:class:`~repro.faultinject.LiveBatchJob`,
-  :class:`~repro.faultinject.CampaignJob`, simulation jobs) through
-  :func:`repro.resilience.run_tasks`, and progress streams with partial
-  Wilson intervals as batches land;
+- :mod:`repro.service.scheduler` — admits specs and runs each through
+  ``run_spec`` on a per-campaign supervisor; progress streams with
+  partial Wilson intervals as batches land;
 - :mod:`repro.service.server` — the asyncio REST/JSON front end
   (``POST /campaigns``, ``GET /campaigns/{id}``, ...).
 

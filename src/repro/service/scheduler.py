@@ -48,12 +48,14 @@ digest (:meth:`~repro.service.specs.CampaignSpec.digest`):
 Either way, every client of one digest reads the same artifact file —
 byte-identical results by construction.  A campaign that previously
 *failed*, *degraded* or was *cancelled* is not dedup'd: resubmitting it
-is an explicit request to try again (journal-resume semantics — finished
-batches are still in the shared cache, so only lost work re-runs).
+is an explicit request to try again (finished batches are still in the
+shared cache, so only lost work re-runs).
 
-Progress: live campaigns stream per-batch; as each
-:class:`~repro.faultinject.LiveBatchJob` lands, the per-structure strike
-and SDC counts advance and the status payload's partial Wilson intervals
+Execution: every kind runs through :func:`repro.service.runner.run_spec`,
+the same translation ``repro-sim inject`` uses.  Progress: live campaigns
+stream per-batch; as each :class:`~repro.faultinject.LiveBatchJob`
+lands, the per-structure strike and SDC counts advance and the status
+payload's partial Wilson intervals
 (:func:`~repro.metrics.reliability.wilson_interval`) tighten.
 """
 
@@ -64,16 +66,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import SimConfig
-from repro.errors import (
-    CampaignCancelled,
-    ExecutionFailed,
-    MissingResultError,
-    ReproError,
-)
+from repro.errors import CampaignCancelled, ExecutionFailed, ReproError
 from repro.metrics.reliability import wilson_interval
 from repro.resilience import RetryPolicy, Supervisor
 from repro.service.journal import ServiceJournal
+from repro.service.runner import BatchCounts, run_spec
 from repro.service.specs import CampaignSpec, SpecError, parse_spec
 from repro.service.store import ArtifactStore
 
@@ -92,9 +89,6 @@ DEFAULT_MAX_QUEUED = 64
 
 #: Ceiling on the Retry-After backpressure hint (seconds).
 MAX_RETRY_AFTER = 60
-
-#: Outcomes counted as SDC for the streaming Wilson interval.
-_SDC = "SDC"
 
 
 class QueueFull(ReproError):
@@ -148,6 +142,16 @@ class _Campaign:
     created: float = field(default_factory=time.time)
     finished: Optional[float] = None
     from_store: bool = False
+
+
+def _advance(c: _Campaign, counts: BatchCounts, cached: bool) -> None:
+    """Fold one landed batch into a campaign's streamed progress."""
+    c.batches_done += 1
+    c.batches_cached += cached
+    for structure, (strikes, sdc) in counts.items():
+        entry = c.progress.setdefault(structure, {"strikes": 0, "sdc": 0})
+        entry["strikes"] += strikes
+        entry["sdc"] += sdc
 
 
 class CampaignScheduler:
@@ -625,10 +629,14 @@ class CampaignScheduler:
                 supervisor.request_stop()
         try:
             try:
-                runner = {"live": self._run_live,
-                          "interval": self._run_interval,
-                          "reproduce": self._run_reproduce}[campaign.spec.kind]
-                payload, degraded = runner(campaign, supervisor)
+                payload, degraded = run_spec(
+                    campaign.spec, supervisor=supervisor, jobs=self.workers,
+                    cache_dir=self.store.cache_dir,
+                    on_plan=lambda total: self._bump(
+                        campaign, lambda c: setattr(c, "batches_total",
+                                                    total)),
+                    on_batch=lambda counts, cached: self._bump(
+                        campaign, lambda c: _advance(c, counts, cached)))
             except CampaignCancelled:
                 if self._draining and not campaign.cancel_requested:
                     # Graceful service shutdown, not a client cancel: the
@@ -705,167 +713,3 @@ class CampaignScheduler:
                              if campaign.state == "done" else None),
             }
         self.store.write_manifest(campaign.id, manifest)
-
-    # -- per-kind runners ----------------------------------------------------------
-
-    def _sim_config(self, spec: CampaignSpec, threads: int) -> SimConfig:
-        return SimConfig(max_instructions=spec.instructions * threads,
-                         seed=spec.seed)
-
-    def _live_structures(self, spec: CampaignSpec):
-        from repro.faultinject.live import INJECTABLE
-
-        if not spec.structures:
-            return INJECTABLE
-        by_name = {s.value.lower(): s for s in INJECTABLE}
-        return tuple(by_name[name] for name in spec.structures)
-
-    def _run_live(self, campaign: _Campaign, supervisor: Supervisor
-                  ) -> Tuple[Dict[str, object], bool]:
-        from repro.faultinject import (LiveConfig, plan_live_batches,
-                                       run_live_campaign)
-
-        spec = campaign.spec
-        workload = list(spec.programs)
-        structures = self._live_structures(spec)
-        sim = self._sim_config(spec, len(spec.programs))
-        live = LiveConfig()
-        if spec.strike_batch is not None:
-            from dataclasses import replace
-
-            live = replace(live, strike_batch=spec.strike_batch)
-
-        batches = plan_live_batches(workload, injections=spec.strikes,
-                                    structures=structures,
-                                    policy=spec.policy, sim=sim,
-                                    seed=spec.seed,
-                                    protection=self._protection(spec),
-                                    live=live, mbu=self._mbu(spec))
-        self._bump(campaign,
-                   lambda c: setattr(c, "batches_total", len(batches)))
-
-        def on_batch(job, payload) -> None:
-            def advance(c: _Campaign) -> None:
-                c.batches_done += 1
-                counts = c.progress.setdefault(
-                    job.structure.value, {"strikes": 0, "sdc": 0})
-                counts["strikes"] += len(payload["records"])
-                counts["sdc"] += sum(
-                    1 for r in payload["records"] if r["outcome"] == _SDC)
-            self._bump(campaign, advance)
-
-        result = run_live_campaign(
-            workload, injections=spec.strikes, structures=structures,
-            policy=spec.policy, sim=sim, seed=spec.seed,
-            protection=self._protection(spec), live=live,
-            mbu=self._mbu(spec),
-            supervisor=supervisor, cache_dir=self.store.cache_dir,
-            on_batch=on_batch)
-        self._bump(campaign,
-                   lambda c: setattr(c, "batches_cached",
-                                     result.batches_cached))
-
-        structures_payload = []
-        for structure, counts in result.structures.items():
-            lo, hi = result.interval(structure)
-            structures_payload.append({
-                "structure": structure.value,
-                "injections": counts.injections,
-                "reported_avf": counts.reported_avf,
-                "sdc_rate": counts.sdc_rate,
-                "wilson_low": lo,
-                "wilson_high": hi,
-                "outcomes": {o.name: n for o, n in counts.outcomes.items()},
-            })
-        degraded = bool(supervisor.report)
-        payload = {
-            "kind": "live",
-            "spec": spec.to_payload(),
-            "workload": result.workload,
-            "cycles": result.cycles,
-            "injections_per_structure": result.injections_per_structure,
-            "protection": result.protection.label(),
-            "mbu_len": spec.mbu_len,
-            "structures": structures_payload,
-            "records": [r.to_payload() for r in result.records],
-            "summary": result.summary(),
-        }
-        return payload, degraded
-
-    def _protection(self, spec: CampaignSpec):
-        from repro.protection import ProtectionConfig
-
-        return ProtectionConfig.coerce(spec.protection)
-
-    def _mbu(self, spec: CampaignSpec):
-        from repro.structures.strike import MbuConfig
-
-        return MbuConfig(max_len=spec.mbu_len)
-
-    def _run_interval(self, campaign: _Campaign, supervisor: Supervisor
-                      ) -> Tuple[Dict[str, object], bool]:
-        from repro.faultinject import InjectionOutcome, run_campaign
-        from repro.faultinject.campaign import INJECTABLE, _campaign_payload
-
-        spec = campaign.spec
-        structures = (self._live_structures(spec) if spec.structures
-                      else INJECTABLE)
-        sim = self._sim_config(spec, len(spec.programs))
-        self._bump(campaign, lambda c: setattr(c, "batches_total", 1))
-        result = run_campaign(
-            list(spec.programs), injections=spec.strikes,
-            structures=structures, policy=spec.policy, sim=sim,
-            seed=spec.seed, cache_dir=self.store.cache_dir,
-            supervisor=supervisor)
-        if result is None:
-            # Failed permanently within the budget: degraded, no artifact.
-            return {"kind": "interval", "spec": spec.to_payload(),
-                    "missing": True}, True
-
-        def advance(c: _Campaign) -> None:
-            c.batches_done = 1
-            for structure, counts in result.structures.items():
-                c.progress[structure.value] = {
-                    "strikes": counts.injections,
-                    "sdc": counts.outcomes.get(InjectionOutcome.SDC, 0),
-                }
-        self._bump(campaign, advance)
-        payload = {
-            "kind": "interval",
-            "spec": spec.to_payload(),
-            "result": _campaign_payload(result),
-            "summary": result.summary(),
-        }
-        return payload, bool(supervisor.report)
-
-    def _run_reproduce(self, campaign: _Campaign, supervisor: Supervisor
-                       ) -> Tuple[Dict[str, object], bool]:
-        from repro.experiments.parallel import prewarm_artefacts
-        from repro.experiments.reproduce import ARTEFACTS
-        from repro.experiments.runner import ExperimentScale, ResultCache
-
-        spec = campaign.spec
-        scale = ExperimentScale(instructions_per_thread=spec.instructions,
-                                seed=spec.seed)
-        cache = ResultCache(cache_dir=self.store.cache_dir)
-        self._bump(campaign, lambda c: setattr(c, "batches_total",
-                                               len(spec.artefacts)))
-        prewarm_artefacts(list(spec.artefacts), scale, cache,
-                          jobs=self.workers, supervisor=supervisor)
-        texts: Dict[str, str] = {}
-        degraded = bool(supervisor.report)
-        for name in spec.artefacts:
-            try:
-                texts[name] = ARTEFACTS[name](scale, cache)
-            except MissingResultError as exc:
-                texts[name] = (f"{name}: DEGRADED — MISSING({exc.label})\n"
-                               f"(job {exc.digest[:12]} failed permanently)")
-                degraded = True
-            self._bump(campaign, lambda c: setattr(c, "batches_done",
-                                                   c.batches_done + 1))
-        payload = {
-            "kind": "reproduce",
-            "spec": spec.to_payload(),
-            "artefacts": texts,
-        }
-        return payload, degraded

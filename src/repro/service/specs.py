@@ -308,7 +308,8 @@ class CampaignSpec:
             else:
                 request["workload"] = list(self.programs)
             request["strikes"] = self.strikes
-            request["protection"] = self.protection
+            if self.kind == "live":
+                request["protection"] = self.protection
             if self.mbu_len != 1:
                 request["mbu_len"] = self.mbu_len
             if self.structures:
@@ -419,6 +420,13 @@ def parse_spec(payload: object) -> CampaignSpec:
         raise SpecError(
             f"spec.artefacts: only meaningful for kind 'reproduce', "
             f"not {kind!r}")
+    if kind == "interval":
+        # Interval replay classifies against residency timelines: it has
+        # no protection, bursts or strike batches to apply these to.
+        for name in ("protection", "mbu_len", "strike_batch"):
+            if name in payload:
+                raise SpecError(f"spec.{name}: only meaningful for kind "
+                                f"'live', not 'interval'")
 
     budget_raw = payload.get("budget", {})
     budget = CampaignBudget(

@@ -50,6 +50,32 @@ class TestInject:
         out = capsys.readouterr().out
         assert "SDC rate" in out
 
+    @pytest.mark.parametrize("flags,spec", [
+        ([], {"kind": "interval", "strikes": 200}),
+        (["--live", "--structures", "iq"],
+         {"kind": "live", "structures": ["iq"], "strikes": 4}),
+    ], ids=["interval", "live"])
+    def test_prints_what_the_service_computes(self, capsys, tmp_path,
+                                              flags, spec):
+        """The CLI runs the same spec as the service: same strike seed,
+        same workload label, byte-identical summary."""
+        from repro.service.scheduler import CampaignScheduler
+        from repro.service.store import ArtifactStore
+
+        assert main(["inject", "2-CPU-A", "-n", "300", "--seed", "7",
+                     "--strikes", str(spec["strikes"])] + flags) == 0
+        printed = capsys.readouterr().out
+        scheduler = CampaignScheduler(ArtifactStore(tmp_path / "store"),
+                                      workers=1)
+        try:
+            status, _ = scheduler.submit(dict(spec, workload="2-CPU-A",
+                                              instructions=300, seed=7))
+            assert scheduler.wait(status["id"], 120)["state"] == "done"
+            artifact = json.loads(scheduler.result_bytes(status["id"]))
+        finally:
+            scheduler.shutdown()
+        assert printed == artifact["result"]["summary"] + "\n"
+
 
 class TestFit:
     def test_fit_prints_breakdown(self, capsys):
@@ -202,16 +228,15 @@ class TestArgumentValidation:
         (["reproduce", "--job-timeout", "0"], "--job-timeout"),
         (["reproduce", "--retries", "-1"], "--retries"),
         (["reproduce", "--max-failures", "-3"], "--max-failures"),
+        # Live-only knobs would be ignored by an interval campaign.
+        (["inject", "2-CPU-A", "--protect", "parity"], "--protect"),
+        (["inject", "2-CPU-A", "--mbu-len", "2"], "--mbu-len"),
+        (["inject", "2-CPU-A", "--strike-batch", "4"], "--strike-batch"),
+        (["inject", "2-CPU-A", "--force", "hang"], "--force"),
     ])
     def test_rejects_bad_values(self, capsys, argv, flag):
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
-
-    def test_resume_requires_cache_dir(self, capsys, tmp_path):
-        assert main(["reproduce", "--only", "fig1_avf_profile",
-                     "--scale", "200", "--resume",
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
 
 
 class TestResilientCli:
@@ -269,10 +294,9 @@ class TestResilientCli:
         assert main(self._run(tmp_path, "first", "--jobs", "2",
                               "--cache-dir", cache, "--retries", "1")) == 0
         assert "simulated 6 runs" in capsys.readouterr().out
-        journal = tmp_path / "cache" / "journal-reproduce.jsonl"
-        assert journal.exists()
+        # Rerunning on the same cache dir is the resume.
         assert main(self._run(tmp_path, "second", "--jobs", "2",
-                              "--cache-dir", cache, "--resume")) == 0
+                              "--cache-dir", cache, "--retries", "1")) == 0
         assert "simulated 0 runs (6 loaded from cache)" in \
             capsys.readouterr().out
 
@@ -285,6 +309,12 @@ class TestResilientCli:
         out = capsys.readouterr()
         assert "MISSING(4-MEM-A/ICOUNT/seed1)" in out.out
         assert "degraded" in out.err
+        # One degraded text: the figure prints what reproduce writes.
+        assert main(self._run(tmp_path, "out", "--jobs", "2",
+                              "--retries", "0", "--max-failures", "2")) == 3
+        capsys.readouterr()
+        assert out.out == \
+            (tmp_path / "out" / "fig1_avf_profile.txt").read_text()
 
     def test_inject_supervised_matches_unsupervised(self, capsys, tmp_path):
         argv = ["inject", "2-CPU-A", "--strikes", "200", "-n", "300"]

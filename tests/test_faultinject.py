@@ -9,7 +9,7 @@ from repro.config import SimConfig
 from repro.errors import ReproError
 from repro.faultinject import CampaignJob, InjectionOutcome, run_campaign
 from repro.faultinject.campaign import _occupancy_timelines
-from repro.resilience import CheckpointJournal, RetryPolicy, Supervisor
+from repro.resilience import CHAOS_ENV_VAR, RetryPolicy, Supervisor
 from repro.workload.mixes import get_mix
 
 
@@ -125,9 +125,10 @@ class TestCampaignCacheAndJobs:
     KW = dict(injections=400, sim=SimConfig(max_instructions=800), seed=5)
 
     @staticmethod
-    def _supervisor(journal_path):
-        return Supervisor(max_workers=2, policy=RetryPolicy(retries=0),
-                          journal=CheckpointJournal(journal_path))
+    def _supervisor(retries=0):
+        return Supervisor(max_workers=2,
+                          policy=RetryPolicy(retries=retries,
+                                             backoff_base=0.0))
 
     @staticmethod
     def _payload(result):
@@ -135,31 +136,38 @@ class TestCampaignCacheAndJobs:
 
         return _campaign_payload(result)
 
-    def test_supervised_equals_inline(self, tmp_path):
+    def test_supervised_equals_inline(self, monkeypatch):
         inline = run_campaign(get_mix("2-CPU-A"), **self.KW)
-        sup = self._supervisor(tmp_path / "journal.jsonl")
+        # Chaos acts only inside pool workers: the retry it forces
+        # proves the supervised campaign ran in one.
+        monkeypatch.setenv(CHAOS_ENV_VAR, "raise:campaign/:1")
+        sup = self._supervisor(retries=1)
         supervised = run_campaign(get_mix("2-CPU-A"), supervisor=sup,
                                   **self.KW)
-        assert len(sup.journal.done) == 1  # ran in a worker
+        assert sup.retried == 1 and not sup.report
         assert self._payload(supervised) == self._payload(inline)
         assert supervised.summary() == inline.summary()
 
-    def test_supervised_run_reuses_inline_cache_entry(self, tmp_path):
+    def test_supervised_run_reuses_inline_cache_entry(self, tmp_path,
+                                                      monkeypatch):
         first = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
                              **self.KW)
-        sup = self._supervisor(tmp_path / "journal.jsonl")
+        # Any job the supervised run executed would fail, so success
+        # proves the cache served it.
+        monkeypatch.setenv(CHAOS_ENV_VAR, "raise:*:*")
+        sup = self._supervisor()
         again = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
                              supervisor=sup, **self.KW)
         assert self._payload(again) == self._payload(first)
         assert len(list(tmp_path.glob("campaign-*.json"))) == 1
-        assert not sup.journal.done  # executed 0 tasks
+        assert not sup.report
 
     def test_inline_run_reuses_supervised_cache_entry(self, tmp_path,
                                                       monkeypatch):
-        sup = self._supervisor(tmp_path / "journal.jsonl")
+        sup = self._supervisor()
         first = run_campaign(get_mix("2-CPU-A"), cache_dir=tmp_path,
                              supervisor=sup, **self.KW)
-        assert len(sup.journal.done) == 1
+        assert len(list(tmp_path.glob("campaign-*.json"))) == 1
 
         def never(self):
             raise AssertionError("served from the cache: must not run")

@@ -1,4 +1,4 @@
-"""The resilience layer: chaos harness, journal, supervisor, degradation.
+"""The resilience layer: chaos harness, supervisor, degradation.
 
 Every supervisor test injects real faults (worker death via ``os._exit``,
 hangs, corrupt payloads, raised exceptions) through the ``REPRO_CHAOS``
@@ -38,7 +38,6 @@ from repro.resilience import (
     ChaosInjectedError,
     ChaosRule,
     ChaosSpec,
-    CheckpointJournal,
     FailureReport,
     RetryPolicy,
     Supervisor,
@@ -99,45 +98,6 @@ class TestChaosSpec:
         assert not ChaosSpec.from_env()
         monkeypatch.setenv(CHAOS_ENV_VAR, "   ")
         assert not ChaosSpec.from_env()
-
-
-class TestCheckpointJournal:
-    def test_records_then_replays(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        j = CheckpointJournal(path)
-        j.record_done("d1", "job-1", attempts=1, elapsed=0.5)
-        j.record_failed("d2", "job-2", attempts=3, kind="error", error="boom")
-
-        replay = CheckpointJournal(path, resume=True)
-        assert set(replay.done) == {"d1"}
-        assert set(replay.failed) == {"d2"}
-        assert replay.failed["d2"]["kind"] == "error"
-
-    def test_fresh_mode_truncates(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CheckpointJournal(path).record_done("d1", "j", 1, 0.1)
-        fresh = CheckpointJournal(path, resume=False)
-        assert fresh.done == {} and path.read_text() == ""
-
-    def test_replay_tolerates_truncated_last_line(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        j = CheckpointJournal(path)
-        j.record_done("d1", "j1", 1, 0.1)
-        j.record_done("d2", "j2", 1, 0.1)
-        # Simulate a crash mid-write: chop the final line in half.
-        text = path.read_text()
-        path.write_text(text[:len(text) - 25])
-
-        replay = CheckpointJournal(path, resume=True)
-        assert set(replay.done) == {"d1"}
-
-    def test_done_supersedes_failed(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        j = CheckpointJournal(path)
-        j.record_failed("d1", "j", attempts=2, kind="crash", error="died")
-        j.record_done("d1", "j", attempts=3, elapsed=0.2)
-        replay = CheckpointJournal(path, resume=True)
-        assert set(replay.done) == {"d1"} and replay.failed == {}
 
 
 class TestRetryPolicy:
@@ -250,23 +210,6 @@ class TestSupervisorChaos:
             a = inline.get(job.digest()).to_payload()
             b = supervised.get(job.digest()).to_payload()
             assert a == b  # exact, including float bit patterns
-
-    def test_journal_records_and_skips_on_resume(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
-        path = tmp_path / "journal.jsonl"
-        cache = ResultCache()
-        jobs = _jobs(cache)
-        sup = Supervisor(max_workers=2, policy=RetryPolicy(**FAST),
-                         journal=CheckpointJournal(path))
-        run_jobs(jobs, cache, max_workers=2, supervisor=sup)
-        journal = CheckpointJournal(path, resume=True)
-        assert set(journal.done) == {j.digest() for j in jobs}
-
-        resumed = Supervisor(max_workers=2, journal=journal)
-        outcome = resumed.run(jobs, commit=lambda t, p: None,
-                              already_done=lambda t: t.digest()
-                              in journal.done)
-        assert outcome.executed == 0 and outcome.skipped == 2
 
 
 class TestDegradedReproduce:

@@ -210,17 +210,22 @@ class TestResponseSchemas:
             check(payload, "error")
 
     def test_validation_error_names_the_field(self, service):
-        status, payload, _ = service.request(
-            "POST", "/campaigns",
-            body={"kind": "live", "workload": ["gcc"], "strikes": -1})
-        assert status == 400
-        assert "strikes" in payload["error"]
-
-        status, payload, _ = service.request(
-            "POST", "/campaigns",
-            body={"kind": "live", "workload": ["gcc"], "surprise": 1})
-        assert status == 400
-        assert "surprise" in payload["error"]
+        interval = {"kind": "interval", "workload": "2-CPU-A"}
+        cases = [
+            ({"kind": "live", "workload": ["gcc"], "strikes": -1},
+             "strikes"),
+            ({"kind": "live", "workload": ["gcc"], "surprise": 1},
+             "surprise"),
+            # Live-only fields an interval campaign would ignore.
+            (dict(interval, protection="parity"), "spec.protection"),
+            (dict(interval, mbu_len=3), "spec.mbu_len"),
+            (dict(interval, strike_batch=4), "spec.strike_batch"),
+        ]
+        for body, field in cases:
+            status, payload, _ = service.request("POST", "/campaigns",
+                                                 body=body)
+            assert status == 400, body
+            assert field in payload["error"]
 
     def test_result_conflict_before_done(self, service):
         status, payload, _ = service.request("POST", "/campaigns",

@@ -208,8 +208,11 @@ class TestJournalLines:
 
     def test_replay_drops_torn_line_and_refuses_newer_schema(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        path.write_text('{"schema": 1, "event": "a"}\n{"sche')
-        assert [e["event"] for e in replay_jsonl(path, 1, "journal")] == ["a"]
+        # Older and schema-less lines still replay; only newer refuses.
+        path.write_text('{"event": "v0"}\n{"schema": 1, "event": "a"}\n'
+                        '{"sche')
+        assert [e["event"] for e in replay_jsonl(path, 2, "journal")] == \
+            ["v0", "a"]
         path.write_text("")
         append_jsonl(path, {"schema": 2})
         with pytest.raises(ReproError, match="refusing to replay"):
