@@ -81,18 +81,19 @@ reproduce:
 # Parallel-runner + result-cache smoke test with runtime auditing: every
 # simulation checks its conservation invariants every 64 cycles, the second
 # run must simulate nothing (served from the warm cache) and render
-# byte-identical output.
+# byte-identical output.  Figure 3 adds the single-thread reference runs
+# planned from the SMT results, so "simulated 0 runs" covers them too.
+REPRODUCE_SMOKE = PYTHONPATH=src $(PYTHON) -m repro.cli reproduce \
+	--only fig1_avf_profile,fig3_smt_vs_st --scale 300 --jobs 2 \
+	--check-invariants=64 --cache-dir $(SMOKE_DIR)/cache
+
 reproduce-smoke:
 	rm -rf $(SMOKE_DIR)
-	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only fig1_avf_profile \
-		--scale 300 --jobs 2 --check-invariants=64 \
-		--cache-dir $(SMOKE_DIR)/cache --out $(SMOKE_DIR)/run1
-	PYTHONPATH=src $(PYTHON) -m repro.cli reproduce --only fig1_avf_profile \
-		--scale 300 --jobs 2 --check-invariants=64 \
-		--cache-dir $(SMOKE_DIR)/cache --out $(SMOKE_DIR)/run2 \
-		| tee $(SMOKE_DIR)/second.log
+	$(REPRODUCE_SMOKE) --out $(SMOKE_DIR)/run1
+	$(REPRODUCE_SMOKE) --out $(SMOKE_DIR)/run2 | tee $(SMOKE_DIR)/second.log
 	grep -q "simulated 0 runs" $(SMOKE_DIR)/second.log
 	cmp $(SMOKE_DIR)/run1/fig1_avf_profile.txt $(SMOKE_DIR)/run2/fig1_avf_profile.txt
+	cmp $(SMOKE_DIR)/run1/fig3_smt_vs_st.txt $(SMOKE_DIR)/run2/fig3_smt_vs_st.txt
 	rm -rf $(SMOKE_DIR)
 
 # Live fault-injection smoke test: a tiny campaign plus one forced hang,

@@ -19,11 +19,11 @@ from typing import List, Optional, Sequence
 
 from repro.avf.fit import DEFAULT_RAW_FIT_PER_BIT, fit_estimate
 from repro.config import SimConfig
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkloadError
 from repro.fetch.registry import EXTENSION_POLICY_NAMES, POLICY_NAMES
 from repro.sim.backends import BACKEND_NAMES, apply_backend_env
 from repro.sim.simulator import simulate
-from repro.workload.mixes import TABLE2_MIXES, get_mix
+from repro.workload.mixes import TABLE2_MIXES, parse_workload
 from repro.workload.spec2000 import PROFILES
 
 
@@ -97,13 +97,10 @@ def _positive_float(raw: str) -> float:
 
 def _resolve_workload(tokens: List[str]):
     """One token naming a Table 2 mix, or several naming SPEC programs."""
-    if len(tokens) == 1 and tokens[0] in TABLE2_MIXES:
-        return get_mix(tokens[0])
-    unknown = [t for t in tokens if t not in PROFILES]
-    if unknown:
-        raise ReproError(
-            f"unknown workload/programs {unknown}; use 'repro-sim list'")
-    return tokens
+    try:
+        return parse_workload(tokens)
+    except WorkloadError as exc:
+        raise ReproError(f"{exc}; use 'repro-sim list'") from None
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -202,37 +199,34 @@ def _finish_resilient(supervisor, failures_out) -> int:
     return 0
 
 
-def _apply_audit_env(args: argparse.Namespace) -> None:
-    """Propagate --check-invariants to experiment runs (and their workers).
+def _scale_from_args(args: argparse.Namespace):
+    """The ExperimentScale ``--scale``/``--check-invariants`` ask for; an
+    absent flag falls back to ``REPRO_SCALE``/``REPRO_CHECK_INVARIANTS``.
 
-    The experiments layer builds its SimConfigs from
-    :class:`ExperimentScale`, which reads ``REPRO_CHECK_INVARIANTS`` — the
-    same shape as ``REPRO_SCALE`` — so the flag reaches every simulation,
-    including those fanned out to ``--jobs`` worker processes.
+    Every simulation, including those fanned out to ``--jobs`` workers,
+    carries the audit interval inside its job's SimConfig.
     """
-    import os
+    from dataclasses import replace
 
-    from repro.experiments.runner import AUDIT_ENV_VAR
+    from repro.experiments.runner import ExperimentScale
 
-    if getattr(args, "check_invariants", None):
-        os.environ[AUDIT_ENV_VAR] = str(args.check_invariants)
+    scale = ExperimentScale.from_env()
+    if args.scale is not None:
+        scale = replace(scale, instructions_per_thread=args.scale)
+    if args.check_invariants:
+        scale = replace(scale, check_invariants=args.check_invariants)
+    return scale
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    import os
-
-    if args.scale is not None:
-        os.environ["REPRO_SCALE"] = str(args.scale)
-    _apply_audit_env(args)
     apply_backend_env(args.backend)
     from repro.experiments.reproduce import ARTEFACTS, render_artefacts
-    from repro.experiments.runner import ExperimentScale
 
+    scale = _scale_from_args(args)
     supervisor = _supervisor_from_args(args)
     artefact = next(n for n in ARTEFACTS if n.startswith(f"fig{args.number}_"))
-    texts, _ = render_artefacts([artefact], ExperimentScale.from_env(),
-                                _cache_from_args(args), jobs=args.jobs,
-                                supervisor=supervisor)
+    texts, _ = render_artefacts([artefact], scale, _cache_from_args(args),
+                                jobs=args.jobs, supervisor=supervisor)
     print(texts[artefact])
     return _finish_resilient(supervisor, args.failures_out)
 
@@ -290,21 +284,13 @@ def _cmd_rmt(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    import os
     from pathlib import Path
 
-    if args.scale is not None:
-        os.environ["REPRO_SCALE"] = str(args.scale)
-    _apply_audit_env(args)
     apply_backend_env(args.backend)
-    from repro.experiments.reproduce import ARTEFACTS, run_all
+    from repro.experiments.reproduce import run_all
 
+    scale = _scale_from_args(args)
     only = args.only.split(",") if args.only else None
-    if only:
-        unknown = [n for n in only if n not in ARTEFACTS]
-        if unknown:
-            raise ReproError(f"unknown artefacts {unknown}; "
-                             f"known: {sorted(ARTEFACTS)}")
 
     def progress(name: str, elapsed: float) -> None:
         print(f"  {name:<28} {elapsed:6.1f}s render")
@@ -312,7 +298,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     cache = _cache_from_args(args)
     supervisor = _supervisor_from_args(args)
     print(f"Reproducing into {args.out} ...")
-    report = run_all(Path(args.out), only=only, progress=progress,
+    report = run_all(Path(args.out), scale=scale, only=only,
+                     progress=progress,
                      jobs=args.jobs, cache=cache, supervisor=supervisor,
                      failures_out=(Path(args.failures_out)
                                    if args.failures_out else None))

@@ -18,8 +18,8 @@ from repro.experiments.runner import (
     ResultCache,
     average_avf,
     default_cache,
-    groups_for,
 )
+from repro.workload.mixes import mixes_for
 
 
 @dataclass
@@ -41,7 +41,7 @@ def run_figure1(scale: Optional[ExperimentScale] = None,
     avf: Dict[str, Dict[Structure, float]] = {}
     for mix_type in MIX_TYPES:
         results = [cache.smt(mix, "ICOUNT", scale)
-                   for mix in groups_for(num_threads, mix_type)]
+                   for mix in mixes_for(num_threads, mix_type)]
         avf[mix_type] = {s: average_avf(results, s) for s in Structure}
     return Figure1Data(num_threads=num_threads, avf=avf)
 

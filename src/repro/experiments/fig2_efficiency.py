@@ -17,9 +17,9 @@ from repro.experiments.runner import (
     average_avf,
     average_ipc,
     default_cache,
-    groups_for,
 )
 from repro.metrics.reliability import reliability_efficiency
+from repro.workload.mixes import mixes_for
 
 
 @dataclass
@@ -40,7 +40,7 @@ def run_figure2(scale: Optional[ExperimentScale] = None,
     ipc: Dict[str, float] = {}
     for mix_type in MIX_TYPES:
         results = [cache.smt(mix, "ICOUNT", scale)
-                   for mix in groups_for(num_threads, mix_type)]
+                   for mix in mixes_for(num_threads, mix_type)]
         ipc[mix_type] = average_ipc(results)
         efficiency[mix_type] = {
             s: reliability_efficiency(ipc[mix_type], average_avf(results, s))

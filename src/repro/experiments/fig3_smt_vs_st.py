@@ -19,6 +19,7 @@ from repro.experiments.formatting import render_table
 from repro.experiments.runner import (
     ExperimentScale,
     ResultCache,
+    SimJob,
     default_cache,
 )
 from repro.metrics.perf import aggregate_weighted_avf
@@ -26,6 +27,9 @@ from repro.workload.mixes import get_mix
 
 #: The structures Figure 3 plots.
 FIG3_STRUCTURES = (Structure.IQ, Structure.FU, Structure.ROB)
+
+#: Workloads Figure 3 (and thus Figure 4) compares across execution modes.
+FIG3_WORKLOADS = ("4-CPU-A", "4-MIX-A", "4-MEM-A")
 
 
 @dataclass
@@ -61,16 +65,18 @@ def run_figure3(scale: Optional[ExperimentScale] = None,
                 workload_names: Optional[List[str]] = None) -> Figure3Data:
     scale = scale or ExperimentScale.from_env()
     cache = cache or default_cache
-    names = workload_names or ["4-CPU-A", "4-MIX-A", "4-MEM-A"]
+    names = workload_names or FIG3_WORKLOADS
     data = Figure3Data()
     for name in names:
         mix = get_mix(name)
         smt = cache.smt(mix, "ICOUNT", scale)
         comp = WorkloadComparison(workload=name, smt_ipc=smt.ipc)
         for tr in smt.threads:
-            committed = max(tr.committed, 100)
-            st = cache.single_thread(tr.program, committed, scale)
-            tc = ThreadComparison(program=tr.program, committed=committed,
+            job = SimJob.single_thread(tr.program, tr.committed, scale,
+                                       cache.config)
+            st = cache.result(job)
+            tc = ThreadComparison(program=tr.program,
+                                  committed=job.sim.max_instructions,
                                   st_ipc=st.ipc, smt_ipc=tr.ipc)
             for s in FIG3_STRUCTURES:
                 tc.st_avf[s] = st.avf.avf[s]

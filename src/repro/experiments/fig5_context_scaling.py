@@ -18,8 +18,8 @@ from repro.experiments.runner import (
     ResultCache,
     average_avf,
     default_cache,
-    groups_for,
 )
+from repro.workload.mixes import mixes_for
 
 CONTEXT_COUNTS = (2, 4, 8)
 
@@ -44,7 +44,7 @@ def run_figure5(scale: Optional[ExperimentScale] = None,
     for mix_type in MIX_TYPES:
         for n in CONTEXT_COUNTS:
             results = [cache.smt(mix, "ICOUNT", scale)
-                       for mix in groups_for(n, mix_type)]
+                       for mix in mixes_for(n, mix_type)]
             data.avf[(mix_type, n)] = {s: average_avf(results, s) for s in Structure}
             data.ipc[(mix_type, n)] = sum(r.ipc for r in results) / len(results)
     return data

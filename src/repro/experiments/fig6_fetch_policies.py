@@ -19,9 +19,9 @@ from repro.experiments.runner import (
     average_avf,
     average_ipc,
     default_cache,
-    groups_for,
 )
 from repro.fetch.registry import POLICY_NAMES
+from repro.workload.mixes import mixes_for
 
 FIG6_CONTEXTS = (4, 8)
 
@@ -42,7 +42,7 @@ def run_figure6(scale: Optional[ExperimentScale] = None,
     data = Figure6Data()
     for n in contexts:
         for mix_type in MIX_TYPES:
-            mixes = groups_for(n, mix_type)
+            mixes = mixes_for(n, mix_type)
             for policy in POLICY_NAMES:
                 results = [cache.smt(mix, policy, scale) for mix in mixes]
                 key = (n, mix_type, policy)

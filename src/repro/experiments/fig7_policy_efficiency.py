@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.avf.structures import FIGURE1_ORDER, Structure
-from repro.experiments.fig6_fetch_policies import Figure6Data, run_figure6
+from repro.experiments.fig6_fetch_policies import (
+    FIG6_CONTEXTS, Figure6Data, run_figure6)
 from repro.experiments.formatting import render_table
 from repro.experiments.runner import MIX_TYPES, ExperimentScale, ResultCache
 from repro.fetch.registry import POLICY_NAMES
@@ -31,7 +32,7 @@ class Figure7Data:
 
 def run_figure7(scale: Optional[ExperimentScale] = None,
                 cache: Optional[ResultCache] = None,
-                contexts: Tuple[int, ...] = (4, 8)) -> Figure7Data:
+                contexts: Tuple[int, ...] = FIG6_CONTEXTS) -> Figure7Data:
     fig6 = run_figure6(scale=scale, cache=cache, contexts=contexts)
     data = Figure7Data(fig6=fig6)
     for mix_type in MIX_TYPES:

@@ -14,18 +14,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.avf.structures import FIGURE1_ORDER, Structure
+from repro.experiments.fig6_fetch_policies import FIG6_CONTEXTS
+from repro.experiments.fig7_policy_efficiency import ADVANCED_POLICIES
 from repro.experiments.formatting import render_table
 from repro.experiments.runner import (
     MIX_TYPES,
     ExperimentScale,
     ResultCache,
     default_cache,
-    groups_for,
 )
 from repro.fetch.registry import POLICY_NAMES
 from repro.metrics.perf import harmonic_mean_weighted_ipc, weighted_speedup
-
-ADVANCED_POLICIES = tuple(p for p in POLICY_NAMES if p != "ICOUNT")
+from repro.workload.mixes import mixes_for
 
 
 @dataclass
@@ -41,10 +41,8 @@ def _fairness_metrics(cache: ResultCache, mix, policy: str,
     """(weighted speedup, harmonic IPC, avf) for one mix under one policy."""
     smt = cache.smt(mix, policy, scale)
     reference = cache.smt(mix, "ICOUNT", scale)
-    st_ipcs = []
-    for tr in reference.threads:
-        st = cache.single_thread(tr.program, max(tr.committed, 100), scale)
-        st_ipcs.append(st.ipc)
+    st_ipcs = [cache.single_thread(tr.program, tr.committed, scale).ipc
+               for tr in reference.threads]
     smt_ipcs = [t.ipc for t in smt.threads]
     ws = weighted_speedup(smt_ipcs, st_ipcs)
     hm = harmonic_mean_weighted_ipc(smt_ipcs, st_ipcs)
@@ -53,7 +51,7 @@ def _fairness_metrics(cache: ResultCache, mix, policy: str,
 
 def run_figure8(scale: Optional[ExperimentScale] = None,
                 cache: Optional[ResultCache] = None,
-                contexts: Tuple[int, ...] = (4, 8)) -> Figure8Data:
+                contexts: Tuple[int, ...] = FIG6_CONTEXTS) -> Figure8Data:
     scale = scale or ExperimentScale.from_env()
     cache = cache or default_cache
     data = Figure8Data()
@@ -65,7 +63,7 @@ def run_figure8(scale: Optional[ExperimentScale] = None,
             p: {s: [] for s in Structure} for p in POLICY_NAMES
         }
         for n in contexts:
-            for mix in groups_for(n, mix_type):
+            for mix in mixes_for(n, mix_type):
                 base_ws, base_hm, base_avf = _fairness_metrics(
                     cache, mix, "ICOUNT", scale)
                 for policy in ADVANCED_POLICIES:

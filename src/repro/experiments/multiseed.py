@@ -10,12 +10,12 @@ shape assertion checked against noise rather than one draw).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import ResultCache, job_key, stable_digest
+from repro.experiments.runner import ResultCache, SimJob
 from repro.sim.results import SimResult
 from repro.workload.mixes import WorkloadLike, workload_label, workload_programs
 
@@ -89,31 +89,18 @@ def run_multiseed(workload: WorkloadLike,
     if len(seeds) < 1:
         raise ConfigError("need at least one seed")
     config = config or DEFAULT_CONFIG
-    programs = workload_programs(workload)
-    threads = len(programs)
+    threads = len(workload_programs(workload))
     tracked = tuple(structures) if structures else tuple(Structure)
-    name = workload_label(workload)
-    sims = [SimConfig(max_instructions=instructions_per_thread * threads,
-                      seed=seed) for seed in seeds]
-    # Run the independent per-seed runs first; the statistics loop below
-    # then reads them from the (now warm) cache.  A custom WorkloadMix a
-    # SimJob cannot reconstruct (digest would not match the read below)
-    # is simulated by that read instead.
-    from repro.experiments.parallel import SimJob, run_jobs
-
+    planned = [SimJob.of(workload, policy, config,
+                         SimConfig(max_instructions=instructions_per_thread
+                                   * threads, seed=seed))
+               for seed in seeds]
     cache = cache or ResultCache(config)
-    fan_out = []
-    for sim in sims:
-        job = SimJob(workload_name=name, programs=programs,
-                     policy=policy, config=config, sim=sim)
-        if job.digest() == stable_digest(
-                job_key(config, sim, workload, policy)):
-            fan_out.append(job)
-    run_jobs(fan_out, cache, max_workers=jobs, supervisor=supervisor)
-    out = MultiSeedResult(workload=name, policy=policy, seeds=tuple(seeds),
+    out = MultiSeedResult(workload=workload_label(workload), policy=policy,
+                          seeds=tuple(seeds),
                           avf={s: SeedStatistics() for s in tracked})
-    for sim in sims:
-        result = cache.run(workload, policy=policy, sim=sim, config=config)
+    for result in cache.results(planned, max_workers=jobs,
+                                supervisor=supervisor):
         out.runs.append(result)
         out.ipc.values.append(result.ipc)
         for s in tracked:

@@ -21,13 +21,13 @@ differential classifier actually observes when bursts hit the machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.avf.structures import Structure
-from repro.config import SimConfig
+from repro.config import MachineConfig
 from repro.errors import ConfigError
-from repro.experiments.runner import ExperimentScale, ResultCache
+from repro.experiments.runner import ExperimentScale, ResultCache, SimJob
 from repro.faultinject.live import LiveCampaignResult, run_live_campaign
 from repro.protection.config import ProtectionConfig
 from repro.protection.frontier import (FrontierPoint, ProtectionFrontier,
@@ -107,17 +107,28 @@ def _validation_point(frontier: ProtectionFrontier) -> FrontierPoint:
         "no frontier point protects the issue queue; cannot cross-validate")
 
 
+def frontier_reference_job(scale: ExperimentScale,
+                           config: MachineConfig) -> SimJob:
+    """The reference run whose AVF profile seeds the frontier, capped at
+    :data:`FRONTIER_BUDGET_CAP` instructions per thread; its ``sim`` is
+    also the live validation campaign's."""
+    capped = replace(scale, instructions_per_thread=min(
+        scale.instructions_per_thread, FRONTIER_BUDGET_CAP))
+    return SimJob.smt(get_mix(FRONTIER_WORKLOAD), "ICOUNT", capped, config)
+
+
 def run_protection_frontier(scale: Optional[ExperimentScale] = None,
                             cache: Optional[ResultCache] = None,
                             ) -> FrontierResult:
-    """Compute the frontier from the cached reference run, then validate."""
+    """Compute the frontier from the cached reference run, then validate.
+
+    The live campaign's strike batches persist in ``cache.cache_dir``
+    when the cache has one, so a rerun on a warm cache redoes none.
+    """
     scale = scale or ExperimentScale.from_env()
     cache = cache or ResultCache()
-    mix = get_mix(FRONTIER_WORKLOAD)
-    budget = min(scale.instructions_per_thread, FRONTIER_BUDGET_CAP)
-    capped = ExperimentScale(instructions_per_thread=budget, seed=scale.seed,
-                             check_invariants=scale.check_invariants)
-    reference = cache.smt(mix, "ICOUNT", capped)
+    job = frontier_reference_job(scale, cache.config)
+    reference = cache.result(job)
     frontier = protection_frontier(reference.avf,
                                    structures=FRONTIER_STRUCTURES,
                                    mbu=FRONTIER_MBU,
@@ -125,16 +136,13 @@ def run_protection_frontier(scale: Optional[ExperimentScale] = None,
 
     point = _validation_point(frontier)
     iq_scheme = point.config.scheme_for(Structure.IQ)
-    sim = SimConfig(max_instructions=budget * mix.num_threads,
-                    seed=scale.seed,
-                    check_invariants=scale.check_invariants)
     # Validate only the IQ override: the campaign strikes the IQ alone, so
     # the other structures' schemes cannot influence any outcome.
     campaign = run_live_campaign(
-        mix, injections=FRONTIER_INJECTIONS, structures=(Structure.IQ,),
-        sim=sim, seed=scale.seed,
+        job.workload(), injections=FRONTIER_INJECTIONS,
+        structures=(Structure.IQ,), sim=job.sim, seed=scale.seed,
         protection=ProtectionConfig(overrides=((Structure.IQ, iq_scheme),)),
-        mbu=FRONTIER_MBU)
+        mbu=FRONTIER_MBU, cache_dir=cache.cache_dir)
 
     iq = campaign.structures[Structure.IQ]
     escape, _due, _corr = outcome_fractions(

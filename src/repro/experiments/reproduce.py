@@ -8,7 +8,7 @@ suite, without pytest.  Exposed on the CLI as ``repro-sim reproduce``.
 Execution is split into two phases: the union of every selected artefact's
 simulation jobs is collected and executed first — deduplicated, optionally
 fanned out over ``jobs`` worker processes, and optionally persisted under a
-``cache_dir`` (see :mod:`repro.experiments.parallel`) — then the artefacts
+``cache_dir`` (see :func:`prewarm_artefacts`) — then the artefacts
 are rendered from the warm cache.  Rendering is deterministic given the
 cached results, so ``jobs=N`` produces byte-identical artefact text to
 ``jobs=1``, and a second invocation against a warm cache directory skips
@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
-from repro.errors import MissingResultError
+from repro.errors import ConfigError, MissingResultError
 
 from repro.experiments import (
     format_figure1, format_figure2, format_figure3, format_figure4,
@@ -39,9 +40,10 @@ from repro.experiments import (
     run_figure1, run_figure2, run_figure3, run_figure4,
     run_figure5, run_figure6, run_figure7, run_figure8,
 )
-from repro.experiments.parallel import RESOURCE_SWEEP, prewarm_artefacts
-from repro.experiments.runner import ExperimentScale, ResultCache
-from repro.experiments.sensitivity import format_sweep, run_resource_sweep
+from repro.experiments.parallel import followup_jobs_for, smt_jobs_for
+from repro.experiments.runner import ExperimentScale, ResultCache, run_jobs
+from repro.experiments.sensitivity import (
+    RESOURCE_SWEEP, format_sweep, run_resource_sweep)
 from repro.experiments.protection_frontier import (
     format_protection_frontier, run_protection_frontier)
 from repro.experiments.smt_tradeoff import format_smt_tradeoff, run_smt_tradeoff
@@ -76,6 +78,40 @@ ARTEFACTS: Dict[str, Callable[[ExperimentScale, ResultCache], str]] = {
         lambda s, c: format_protection_frontier(
             run_protection_frontier(s, c)),
 }
+
+
+def check_artefacts(names: Iterable[str]) -> None:
+    """Raise :class:`~repro.errors.ConfigError` naming every unknown
+    artefact and the valid names: a typo must not pass as an empty
+    report or a fully warm cache."""
+    unknown = sorted(set(names) - set(ARTEFACTS))
+    if unknown:
+        raise ConfigError(f"unknown artefacts {unknown}; "
+                          f"known: {sorted(ARTEFACTS)}")
+
+
+def prewarm_artefacts(names: Sequence[str], scale: ExperimentScale,
+                      cache: ResultCache, jobs: int = 1,
+                      supervisor=None) -> int:
+    """Run every simulation the named artefacts need; returns the number
+    executed (0 when the cache was already fully warm).
+
+    Both planning stages of :mod:`repro.experiments.parallel` run through
+    :func:`~repro.experiments.runner.run_jobs`; with a ``supervisor``
+    they run supervised and share its retry policy and failure budget.
+    """
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    check_artefacts(names)
+    stage1 = [job for name in names
+              for job in smt_jobs_for(name, scale, cache.config)]
+    executed = run_jobs(stage1, cache, max_workers=jobs,
+                        supervisor=supervisor)
+    stage2 = [job for name in names
+              for job in followup_jobs_for(name, scale, cache)]
+    executed += run_jobs(stage2, cache, max_workers=jobs,
+                         supervisor=supervisor)
+    return executed
 
 
 def _degraded_text(name: str, exc: MissingResultError) -> str:
@@ -131,8 +167,11 @@ def run_all(out_dir: Path, scale: Optional[ExperimentScale] = None,
     fault-tolerant; when it reports permanent failures, the affected
     artefacts are written with ``MISSING(<job>)`` markers and the
     structured report lands at ``failures_out`` (default
-    ``out_dir/failures.json``).
+    ``out_dir/failures.json``).  Unknown names in ``only`` raise
+    :class:`~repro.errors.ConfigError` before anything is written.
     """
+    if only is not None:
+        check_artefacts(only)
     scale = scale or ExperimentScale.from_env()
     if cache is None:
         cache = ResultCache(cache_dir=cache_dir)

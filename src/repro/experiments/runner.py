@@ -1,14 +1,15 @@
-"""Shared experiment plumbing: scaling, run caching, workload averaging.
+"""Shared experiment plumbing: scaling, run requests, caching, averaging.
 
-The :class:`ResultCache` is the single funnel every experiment's
-simulations go through.  It memoises in memory (so figures sharing runs —
-1↔2, 6↔7↔8 — never repeat them within a process) and, when given a
-``cache_dir``, persists every :class:`SimResult` to disk keyed by a stable
-content hash of the full (machine config, sim config, workload, policy)
-tuple, so repeated CLI invocations skip simulation entirely.  Entries are
-checksummed envelopes in the shared content store (:mod:`repro.store`):
-stale or corrupt files are deleted or quarantined and recomputed, never
-misread.
+A :class:`SimJob` is the only way an experiment asks for a simulation,
+and :func:`run_jobs` is the only code that executes one.  The
+:class:`ResultCache` reads jobs: from memory (so figures sharing runs —
+1↔2, 6↔7↔8 — never repeat them within a process), then, when given a
+``cache_dir``, from disk, keyed by the job's stable content hash of the
+full (machine config, sim config, workload, policy) tuple, so repeated CLI
+invocations skip simulation entirely; a miss goes to :func:`run_jobs`.
+Entries are checksummed envelopes in the shared content store
+(:mod:`repro.store`): stale or corrupt files are deleted or quarantined
+and recomputed, never misread.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.avf.structures import Structure
 from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
-from repro.errors import ConfigError, MissingResultError
+from repro.errors import ConfigError, ExecutionFailed, MissingResultError
+from repro.resilience import FailureReport, RetryPolicy, Supervisor, run_tasks
 from repro.sim.results import SimResult
 from repro.sim.simulator import simulate
 from repro.store import (
@@ -34,7 +36,7 @@ from repro.store import (
 from repro.workload.mixes import (
     WorkloadLike,
     WorkloadMix,
-    mixes_for,
+    resolve_workload,
     workload_label,
     workload_programs,
 )
@@ -43,9 +45,8 @@ from repro.workload.mixes import (
 SCALE_ENV_VAR = "REPRO_SCALE"
 
 #: Environment knob for runtime auditing: invariant-check interval in
-#: cycles (0/unset = off).  Read by :meth:`ExperimentScale.from_env`, so
-#: ``repro-sim reproduce --check-invariants`` reaches every simulation,
-#: including those fanned out to worker processes.
+#: cycles (0/unset = off), read by :meth:`ExperimentScale.from_env`.
+#: Workers get the interval inside each job's :class:`SimConfig`.
 AUDIT_ENV_VAR = "REPRO_CHECK_INVARIANTS"
 
 MIX_TYPES = ("CPU", "MIX", "MEM")
@@ -129,6 +130,127 @@ def job_key(config: MachineConfig, sim: SimConfig,
     }
 
 
+@dataclass(frozen=True)
+class SimJob:
+    """One request for a simulation: everything ``simulate`` needs, picklable.
+
+    Figures read a job through :meth:`ResultCache.result`, sweeps a batch
+    through :meth:`ResultCache.results`, and the ``reproduce`` planners
+    prewarm the same jobs, so a planned job and the renderer's read share
+    one digest by construction.
+    """
+
+    workload_name: str
+    programs: Tuple[str, ...]
+    policy: str
+    config: MachineConfig
+    sim: SimConfig
+    #: The mix the job was built from, if any: a custom
+    #: :class:`WorkloadMix` cannot be rebuilt from its name.
+    mix: Optional[WorkloadMix] = None
+
+    @classmethod
+    def of(cls, workload: WorkloadLike, policy: str = "ICOUNT",
+           config: Optional[MachineConfig] = None,
+           sim: Optional[SimConfig] = None) -> "SimJob":
+        """The job for ``simulate(workload, policy, config, sim)``."""
+        return cls(workload_name=workload_label(workload),
+                   programs=workload_programs(workload), policy=policy,
+                   config=config or DEFAULT_CONFIG, sim=sim or SimConfig(),
+                   mix=workload if isinstance(workload, WorkloadMix) else None)
+
+    @classmethod
+    def smt(cls, mix: WorkloadMix, policy: str, scale: ExperimentScale,
+            config: MachineConfig) -> "SimJob":
+        """``mix`` under ``policy`` at the scale's per-context budget."""
+        return cls.of(mix, policy, config, scale.sim_config(mix.num_threads))
+
+    @classmethod
+    def single_thread(cls, program: str, committed: int,
+                      scale: ExperimentScale,
+                      config: MachineConfig) -> "SimJob":
+        """The equal-work reference run of one SMT thread.
+
+        ``program`` runs alone for the ``committed`` instructions it
+        retired under SMT (at least 100), as Figures 3, 4 and 8 and the
+        SMT-vs-superscalar verdict compare; ``sim.max_instructions`` is
+        that work.
+        """
+        return cls.of([program], "ICOUNT", config,
+                      SimConfig(max_instructions=max(committed, 100),
+                                seed=scale.seed,
+                                check_invariants=scale.check_invariants))
+
+    def workload(self) -> WorkloadLike:
+        """The mix the job was built from, else the Table 2 mix the name
+        matches, else the program list."""
+        if self.mix is not None:
+            return self.mix
+        return resolve_workload(self.workload_name, self.programs)
+
+    def digest(self) -> str:
+        return stable_digest(
+            job_key(self.config, self.sim, self.workload(), self.policy))
+
+    # -- supervised-task protocol (see repro.resilience.supervisor) --------------
+
+    @property
+    def label(self) -> str:
+        """Human-readable identity: MISSING markers, chaos matching, logs."""
+        return f"{self.workload_name}/{self.policy}/seed{self.sim.seed}"
+
+    def run(self) -> Dict[str, object]:
+        result = simulate(self.workload(), policy=self.policy,
+                          config=self.config, sim=self.sim)
+        return result.to_payload()
+
+    def validate(self, payload: Dict[str, object]) -> None:
+        """Reject corrupt payloads before they can reach the cache."""
+        SimResult.from_payload(payload)
+
+
+def run_jobs(jobs: Iterable[SimJob], cache: "ResultCache",
+             max_workers: int = 1,
+             supervisor: Optional[Supervisor] = None) -> int:
+    """Execute every job the cache cannot already answer; returns that count.
+
+    Jobs are deduplicated by digest first, then checked against the cache
+    (memory and disk), so the union of several artefacts' job sets costs
+    each distinct simulation once.  Jobs a supervised run has already
+    failed permanently (``cache.failed``) are neither re-run nor counted.
+
+    Execution goes through :func:`~repro.resilience.run_tasks`: inline
+    for one worker without a ``supervisor``, else on the caller's
+    supervisor (its retry policy and failure budget) or a
+    default one with zero retries.  Every payload completed before a
+    mid-batch failure is committed to the cache before the failure
+    propagates (as :class:`~repro.errors.ExecutionFailed`).
+    """
+    def commit(job: SimJob, payload: Dict[str, object]) -> None:
+        cache.put(job.digest(), SimResult.from_payload(payload))
+        cache.simulated += 1
+
+    def already_done(job: SimJob) -> bool:
+        digest = job.digest()
+        return cache.get(digest) is not None or digest in cache.failed
+
+    report = supervisor.report if supervisor is not None else FailureReport()
+    try:
+        return run_tasks(jobs, commit, already_done, jobs=max_workers,
+                         supervisor=supervisor,
+                         policy=RetryPolicy(retries=0,
+                                            max_failures=0)).executed
+    except ExecutionFailed as exc:
+        report = exc.report
+        raise
+    finally:
+        # Whatever happened — clean finish, degraded finish, or an
+        # ExecutionFailed abort — renderers must see permanent failures as
+        # MISSING rather than silently re-simulating them inline.
+        for failure in report.failures:
+            cache.mark_failed(failure.digest, failure.label)
+
+
 def atomic_write_json(path: Path, entry: Dict[str, object]) -> None:
     """Publish one JSON document atomically, as canonical bytes.
 
@@ -161,38 +283,51 @@ class ResultCache:
         self.mem_hits = 0
         self.disk_hits = 0
 
-    # -- cached entry points -------------------------------------------------------
+    # -- reads ---------------------------------------------------------------------
+
+    def result(self, job: SimJob) -> SimResult:
+        """The job's result: from memory, else the verified store, else
+        executed by :func:`run_jobs`.
+
+        Raises :class:`~repro.errors.MissingResultError` for a job a
+        supervised run already failed permanently: a silent inline re-run
+        would mask the failure (and likely fail the same way, this time
+        with nothing supervising it).
+        """
+        digest = job.digest()
+        hit = self.get(digest)
+        if hit is None:
+            run_jobs([job], self)
+            hit = self._mem.get(digest)
+            if hit is None:
+                raise MissingResultError(self.failed[digest], digest)
+        return hit
+
+    def results(self, jobs: Sequence[SimJob], max_workers: int = 1,
+                supervisor: Optional[Supervisor] = None) -> List[SimResult]:
+        """Every job's result, in order; the misses run first as one
+        :func:`run_jobs` batch on ``max_workers`` workers (or the
+        ``supervisor``'s pool)."""
+        run_jobs(jobs, self, max_workers=max_workers, supervisor=supervisor)
+        return [self.result(job) for job in jobs]
 
     def run(self, workload: WorkloadLike, policy: str = "ICOUNT",
             sim: Optional[SimConfig] = None,
             config: Optional[MachineConfig] = None) -> SimResult:
         """Cached :func:`simulate` with an arbitrary machine/sim config."""
-        config = config or self.config
-        sim = sim or SimConfig()
-        digest = stable_digest(job_key(config, sim, workload, policy))
-        hit = self.get(digest)
-        if hit is not None:
-            return hit
-        if digest in self.failed:
-            # A supervised run already exhausted this job's retries; a
-            # silent inline re-run here would mask the failure (and likely
-            # fail the same way, this time with nothing supervising it).
-            raise MissingResultError(self.failed[digest], digest)
-        result = simulate(workload, policy=policy, config=config, sim=sim)
-        self.simulated += 1
-        self.put(digest, result)
-        return result
+        return self.result(SimJob.of(workload, policy, config or self.config,
+                                     sim))
 
-    def smt(self, mix: WorkloadMix, policy: str, scale: ExperimentScale) -> SimResult:
-        return self.run(mix, policy=policy, sim=scale.sim_config(mix.num_threads))
+    def smt(self, mix: WorkloadMix, policy: str,
+            scale: ExperimentScale) -> SimResult:
+        return self.result(SimJob.smt(mix, policy, scale, self.config))
 
-    def single_thread(self, program: str, instructions: int,
+    def single_thread(self, program: str, committed: int,
                       scale: ExperimentScale) -> SimResult:
-        """Standalone (superscalar) run committing exactly ``instructions``."""
-        return self.run([program], policy="ICOUNT",
-                        sim=SimConfig(max_instructions=instructions,
-                                      seed=scale.seed,
-                                      check_invariants=scale.check_invariants))
+        """Equal-work standalone (superscalar) run; see
+        :meth:`SimJob.single_thread`."""
+        return self.result(
+            SimJob.single_thread(program, committed, scale, self.config))
 
     # -- store ---------------------------------------------------------------------
 
@@ -225,7 +360,7 @@ class ResultCache:
     def mark_failed(self, digest: str, label: str) -> None:
         """Record that a supervised job failed permanently.
 
-        A later :meth:`run` for the same digest raises
+        A later :meth:`result` for the same digest raises
         :class:`~repro.errors.MissingResultError` instead of silently
         re-simulating, so renderers degrade to explicit ``MISSING``
         markers.  :meth:`get` still answers (``None``) without raising —
@@ -253,11 +388,6 @@ def average_avf(results: List[SimResult], structure: Structure) -> float:
 
 def average_ipc(results: List[SimResult]) -> float:
     return sum(r.ipc for r in results) / len(results)
-
-
-def groups_for(num_threads: int, mix_type: str) -> List[WorkloadMix]:
-    """All Table 2 groups (A and, where present, B) of one workload type."""
-    return mixes_for(num_threads, mix_type)
 
 
 @dataclass

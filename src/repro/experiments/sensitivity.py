@@ -18,14 +18,14 @@ added entry costs reliability for no performance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.avf.bits import structure_bits
 from repro.avf.structures import Structure
-from repro.config import DEFAULT_CONFIG, MachineConfig, SimConfig
+from repro.config import DEFAULT_CONFIG, MachineConfig
 from repro.errors import ConfigError
 from repro.experiments.formatting import render_table
-from repro.experiments.runner import ExperimentScale, ResultCache
+from repro.experiments.runner import ExperimentScale, ResultCache, SimJob
 from repro.workload.mixes import WorkloadMix, get_mix
 
 #: Resources the sweep can scale and the structure whose exposure it tracks.
@@ -35,6 +35,10 @@ SWEEPABLE = {
     "lsq": (("lsq_entries",), Structure.LSQ_TAG),
     "regs": (("int_phys_regs", "fp_phys_regs"), Structure.REG),
 }
+
+#: The ``resource_scaling`` artefact's sweep: (resource, size ladder,
+#: workload).
+RESOURCE_SWEEP = ("rob", (24, 48, 96, 192), "4-CPU-A")
 
 
 @dataclass
@@ -90,33 +94,28 @@ def run_resource_sweep(resource: str,
         raise ConfigError("sizes must be at least two positive values")
     scale = scale or ExperimentScale.from_env()
     mix = get_mix(workload) if isinstance(workload, str) else workload
-    fields, structure = SWEEPABLE[resource]
+    structure = SWEEPABLE[resource][1]
 
     data = SweepData(resource=resource, workload=mix.name, structure=structure)
-    base_config = cache.config if cache is not None else DEFAULT_CONFIG
-    # Imported lazily: parallel.py imports SWEEPABLE from this module.
-    from repro.experiments.parallel import SimJob, run_jobs
-
-    cache = cache or ResultCache(base_config)
-    run_jobs(
-        [SimJob(workload_name=mix.name, programs=mix.programs,
-                policy=policy,
-                config=base_config.with_overrides(
-                    **{f: size for f in fields}),
-                sim=scale.sim_config(mix.num_threads))
-         for size in sizes],
-        cache, max_workers=jobs, supervisor=supervisor)
-    for size in sizes:
-        config = base_config.with_overrides(**{f: size for f in fields})
-        # Built via the scale (not a bare SimConfig) so the digest matches
-        # the parallel planner's jobs even when runtime auditing is on.
-        sim = scale.sim_config(mix.num_threads)
-        result = cache.run(mix, policy=policy, sim=sim, config=config)
+    cache = cache or ResultCache()
+    planned = sweep_jobs(resource, sizes, mix, scale, policy, cache.config)
+    results = cache.results(planned, max_workers=jobs, supervisor=supervisor)
+    for size, job, result in zip(sizes, planned, results):
         avf = result.avf.avf[structure]
-        bits = structure_bits(structure, config, mix.num_threads)
+        bits = structure_bits(structure, job.config, mix.num_threads)
         data.points.append(SweepPoint(size=size, ipc=result.ipc, avf=avf,
                                       exposed_bits=avf * bits))
     return data
+
+
+def sweep_jobs(resource: str, sizes: Sequence[int], mix: WorkloadMix,
+               scale: ExperimentScale, policy: str = "ICOUNT",
+               config: MachineConfig = DEFAULT_CONFIG) -> List[SimJob]:
+    """One job per size step: ``config`` with the resource scaled."""
+    fields, _structure = SWEEPABLE[resource]
+    return [SimJob.smt(mix, policy, scale,
+                       config.with_overrides(**{f: size for f in fields}))
+            for size in sizes]
 
 
 def format_sweep(data: SweepData) -> str:

@@ -21,13 +21,15 @@ from typing import Dict, List, Optional
 from repro.avf.structures import FIGURE1_ORDER, Structure
 from repro.experiments.formatting import render_table
 from repro.experiments.runner import (
+    MIX_TYPES,
     ExperimentScale,
     ResultCache,
+    SimJob,
     default_cache,
-    groups_for,
 )
 from repro.metrics.perf import aggregate_weighted_avf
 from repro.metrics.reliability import reliability_efficiency
+from repro.workload.mixes import mixes_for
 
 
 @dataclass
@@ -65,19 +67,18 @@ def run_smt_tradeoff(scale: Optional[ExperimentScale] = None,
     scale = scale or ExperimentScale.from_env()
     cache = cache or default_cache
     data = TradeoffData()
-    for mix_type in ("CPU", "MIX", "MEM"):
-        for mix in groups_for(num_threads, mix_type):
+    for mix_type in MIX_TYPES:
+        for mix in mixes_for(num_threads, mix_type):
             smt = cache.smt(mix, "ICOUNT", scale)
-            st_results = []
-            for tr in smt.threads:
-                st_results.append(
-                    cache.single_thread(tr.program, max(tr.committed, 100), scale))
-            total_work = sum(max(t.committed, 100) for t in smt.threads)
+            refs = [SimJob.single_thread(t.program, t.committed, scale,
+                                         cache.config) for t in smt.threads]
+            st_results = [cache.result(job) for job in refs]
+            total_work = sum(job.sim.max_instructions for job in refs)
             seq_cycles = sum(st.cycles for st in st_results)
             row = TradeoffRow(workload=mix.name, smt_ipc=smt.ipc,
                               seq_ipc=total_work / seq_cycles)
-            work = {i: max(t.committed, 100) / total_work
-                    for i, t in enumerate(smt.threads)}
+            work = {i: job.sim.max_instructions / total_work
+                    for i, job in enumerate(refs)}
             for s in Structure:
                 row.smt_avf[s] = smt.avf.avf[s]
                 row.seq_avf[s] = aggregate_weighted_avf(

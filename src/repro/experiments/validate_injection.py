@@ -42,9 +42,10 @@ def run_injection_validation(scale: Optional[ExperimentScale] = None,
                              ) -> LiveCampaignResult:
     """Run the live campaign over all injectable structures.
 
-    ``cache`` is accepted for signature parity with the other artefact
-    runners but unused: every strike needs its own (faulty) simulation,
-    and the golden run is memoized inside :mod:`repro.faultinject.live`.
+    Every strike needs its own (faulty) simulation, and the golden run is
+    memoized inside :mod:`repro.faultinject.live`; ``cache`` lends only
+    its directory, where the strike batches persist, so a rerun on a warm
+    cache redoes none.
     """
     scale = scale or ExperimentScale.from_env()
     mix = get_mix(VALIDATION_WORKLOAD)
@@ -53,7 +54,9 @@ def run_injection_validation(scale: Optional[ExperimentScale] = None,
                     seed=scale.seed,
                     check_invariants=scale.check_invariants)
     return run_live_campaign(mix, injections=VALIDATION_INJECTIONS,
-                             sim=sim, seed=scale.seed)
+                             sim=sim, seed=scale.seed,
+                             cache_dir=(cache.cache_dir if cache is not None
+                                        else None))
 
 
 def format_injection_validation(result: LiveCampaignResult) -> str:

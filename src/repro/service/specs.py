@@ -33,11 +33,11 @@ computation even if they disagree about how to schedule it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
-from repro.workload.mixes import TABLE2_MIXES
-from repro.workload.spec2000 import PROFILES
+from repro.errors import ConfigError, ReproError, WorkloadError
+from repro.workload.mixes import (TABLE2_MIXES, parse_workload,
+                                  workload_label, workload_programs)
 
 #: Version of the spec layout.  Part of the canonical digest, so a schema
 #: change never dedups against artefacts computed under the old contract.
@@ -326,23 +326,6 @@ class CampaignSpec:
         return request
 
 
-def _resolve_workload(raw: Union[str, Sequence[str]]
-                      ) -> Tuple[str, Tuple[str, ...]]:
-    if isinstance(raw, str):
-        tokens: List[str] = [raw]
-    else:
-        tokens = list(raw)
-    if len(tokens) == 1 and tokens[0] in TABLE2_MIXES:
-        mix = TABLE2_MIXES[tokens[0]]
-        return mix.name, tuple(mix.programs)
-    unknown = [t for t in tokens if t not in PROFILES]
-    if unknown:
-        raise SpecError(
-            f"spec.workload: unknown workload/programs {unknown}; "
-            f"use a Table 2 mix name or SPEC program names")
-    return "+".join(tokens), tuple(tokens)
-
-
 def parse_spec(payload: object) -> CampaignSpec:
     """Validate a raw request body into a :class:`CampaignSpec`.
 
@@ -370,7 +353,13 @@ def parse_spec(payload: object) -> CampaignSpec:
     else:
         if "workload" not in payload:
             raise SpecError(f"spec.workload: required for kind {kind!r}")
-        workload_name, programs = _resolve_workload(payload["workload"])
+        try:
+            workload = parse_workload(payload["workload"])
+        except WorkloadError as exc:
+            raise SpecError(f"spec.workload: {exc}; use a Table 2 mix name "
+                            f"or SPEC program names") from None
+        workload_name = workload_label(workload)
+        programs = workload_programs(workload)
 
     policy = payload.get("policy", "ICOUNT")
     from repro.fetch.registry import EXTENSION_POLICY_NAMES, POLICY_NAMES
@@ -409,12 +398,12 @@ def parse_spec(payload: object) -> CampaignSpec:
     if kind == "reproduce":
         if "artefacts" not in payload:
             raise SpecError("spec.artefacts: required for kind 'reproduce'")
-        from repro.experiments.parallel import KNOWN_ARTEFACTS
+        from repro.experiments.reproduce import check_artefacts
 
-        unknown = sorted(set(payload["artefacts"]) - KNOWN_ARTEFACTS)
-        if unknown:
-            raise SpecError(f"spec.artefacts: unknown artefacts {unknown}; "
-                            f"known: {sorted(KNOWN_ARTEFACTS)}")
+        try:
+            check_artefacts(payload["artefacts"])
+        except ConfigError as exc:
+            raise SpecError(f"spec.artefacts: {exc}") from None
         artefacts = tuple(payload["artefacts"])
     elif "artefacts" in payload:
         raise SpecError(
@@ -450,7 +439,6 @@ def parse_spec(payload: object) -> CampaignSpec:
         # Normalise every accepted spelling (bare scheme, per-structure
         # string, object form, legacy 'ecc') to the canonical label so
         # equivalent requests dedup to one digest.
-        from repro.errors import ConfigError
         from repro.protection import ProtectionConfig
         from repro.structures.strike import MAX_CLUSTER_LEN
 

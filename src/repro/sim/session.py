@@ -143,26 +143,15 @@ class SimSession:
 def build_core(traces: List[ThreadTrace], config: MachineConfig,
                policy: FetchPolicy, sim: SimConfig,
                trace_out: Optional[str] = None) -> SMTCore:
-    """Construct a standalone core with standard observer wiring.
+    """Construct a standalone Python-kernel core with standard observer
+    wiring.
 
     For tests and tools that drive a core directly from pre-built traces;
     production entry points go through :class:`SimSession`.
     """
-    bus = ProbeBus()
-    engine = bus.subscribe(AvfEngine(config, len(traces)))
-    recorder = None
-    if sim.record_intervals:
-        recorder = bus.subscribe(IntervalRecorder())
-    if sim.phase_window_cycles > 0:
-        bus.subscribe(PhaseTracker(engine, sim.phase_window_cycles))
-    writer = TraceWriter(trace_out) if trace_out is not None else None
-    if sim.check_invariants > 0 or writer is not None:
-        bus.subscribe(SimAuditor(check_every=sim.check_invariants,
-                                 trace_writer=writer))
-    if writer is not None:
-        bus.subscribe(writer)
-    return SMTCore(traces, config, policy, sim,
-                   bus.attach(ledger=engine, recorder=recorder))
+    return SimSession([t.profile.name for t in traces], policy=policy,
+                      config=config, sim=sim, traces=traces,
+                      trace_out=trace_out, backend="python").core
 
 
 def functional_warmup(core: SMTCore, traces: List[ThreadTrace]) -> None:

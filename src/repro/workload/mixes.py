@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.errors import WorkloadError
-from repro.workload.spec2000 import Category, get_profile
+from repro.workload.spec2000 import PROFILES, Category, get_profile
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,19 @@ def workload_programs(workload: WorkloadLike) -> Tuple[str, ...]:
     if isinstance(workload, WorkloadMix):
         return workload.programs
     return tuple(workload)
+
+
+def parse_workload(tokens: Union[str, Sequence[str]]) -> WorkloadLike:
+    """One token naming a Table 2 mix, else SPEC program names: how a
+    user names a workload.  Raises :class:`WorkloadError` listing the
+    tokens that name neither."""
+    tokens = [tokens] if isinstance(tokens, str) else list(tokens)
+    if len(tokens) == 1 and tokens[0] in TABLE2_MIXES:
+        return TABLE2_MIXES[tokens[0]]
+    unknown = [t for t in tokens if t not in PROFILES]
+    if unknown:
+        raise WorkloadError(f"unknown workload/programs {unknown}")
+    return tokens
 
 
 def resolve_workload(name: str, programs: Sequence[str]

@@ -239,6 +239,32 @@ class TestArgumentValidation:
         assert flag in capsys.readouterr().err
 
 
+class TestScaleFlags:
+    """--scale and --check-invariants reach the run without being
+    exported: a later in-process ExperimentScale.from_env() must not
+    inherit them."""
+
+    FLAGS = ["--scale", "123", "--check-invariants=7", "--no-cache"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["reproduce", "--only", "nope", *FLAGS], 2),
+        (["figure", "1", *FLAGS], 0),
+    ], ids=["reproduce", "figure"])
+    def test_flags_do_not_leak_into_environment(self, capsys, monkeypatch,
+                                                argv, code):
+        import os
+
+        from repro.experiments.runner import AUDIT_ENV_VAR, SCALE_ENV_VAR
+
+        for name in (SCALE_ENV_VAR, AUDIT_ENV_VAR):
+            monkeypatch.setenv(name, "1")  # restored to unset afterwards
+            monkeypatch.delenv(name)
+        assert main(argv) == code
+        capsys.readouterr()
+        assert SCALE_ENV_VAR not in os.environ
+        assert AUDIT_ENV_VAR not in os.environ
+
+
 class TestResilientCli:
     """End-to-end chaos acceptance: the full CLI under injected faults."""
 

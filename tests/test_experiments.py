@@ -16,8 +16,8 @@ from repro.experiments.runner import (
     ExperimentScale,
     ResultCache,
     average_avf,
-    groups_for,
 )
+from repro.workload.mixes import mixes_for
 
 TINY = ExperimentScale(instructions_per_thread=250)
 
@@ -51,8 +51,8 @@ class TestRunner:
         assert a.num_threads == 1
 
     def test_groups_for(self):
-        assert len(groups_for(4, "CPU")) == 2
-        assert len(groups_for(8, "MEM")) == 1
+        assert len(mixes_for(4, "CPU")) == 2
+        assert len(mixes_for(8, "MEM")) == 1
 
     def test_average_avf(self, cache):
         from repro.workload.mixes import get_mix

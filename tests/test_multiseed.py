@@ -3,9 +3,10 @@
 import pytest
 
 from repro.avf.structures import Structure
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecutionFailed
 from repro.experiments.multiseed import SeedStatistics, run_multiseed
-from repro.workload.mixes import get_mix
+from repro.resilience import CHAOS_ENV_VAR, Supervisor
+from repro.workload.mixes import WorkloadMix, get_mix
 
 
 class TestSeedStatistics:
@@ -60,3 +61,23 @@ class TestRunMultiseed:
         for c, m in zip(cpu.avf[Structure.ROB].values,
                         mem.avf[Structure.ROB].values):
             assert m > c
+
+
+class TestCustomMix:
+    """A mix outside Table 2 is one job per seed like any other: it fans
+    out to the pool and simulates exactly as an inline run does."""
+
+    MIX = WorkloadMix("my-mix", 2, "MIX", "A", ("gcc", "mcf"))
+    KW = dict(seeds=(1, 2), instructions_per_thread=200)
+
+    def test_seeds_run_on_the_pool(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV_VAR, "raise:*:*")
+        with pytest.raises(ExecutionFailed):
+            run_multiseed(self.MIX, jobs=2, **self.KW)
+        monkeypatch.delenv(CHAOS_ENV_VAR)
+        inline = run_multiseed(self.MIX, jobs=1, **self.KW)
+        pooled = run_multiseed(self.MIX, supervisor=Supervisor(max_workers=2),
+                               **self.KW)
+        assert ([r.to_payload() for r in pooled.runs]
+                == [r.to_payload() for r in inline.runs])
+        assert {r.workload for r in inline.runs} == {"my-mix"}

@@ -5,19 +5,15 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.parallel import (
-    SimJob,
-    followup_jobs_for,
-    prewarm_artefacts,
-    run_jobs,
-    smt_jobs_for,
-)
-from repro.experiments.reproduce import run_all
+from repro.experiments.parallel import followup_jobs_for, smt_jobs_for
+from repro.experiments.reproduce import prewarm_artefacts, run_all
 from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
     ExperimentScale,
     ResultCache,
+    SimJob,
     job_key,
+    run_jobs,
     stable_digest,
 )
 from repro.sim.results import SimResult

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigError
+from repro.experiments import protection_frontier, validate_injection
 from repro.experiments.reproduce import ARTEFACTS, run_all
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, ResultCache
 
 TINY = ExperimentScale(instructions_per_thread=200)
 
@@ -45,3 +47,34 @@ class TestRunAll:
         out = tmp_path / "nested" / "dir"
         run_all(out, scale=TINY, only=["fig1_avf_profile"])
         assert Path(out).is_dir()
+
+    def test_unknown_artefact_is_an_error(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            run_all(tmp_path / "out", scale=TINY,
+                    only=["fig1_avf_profile", "fig1_avf_profil"])
+        assert "unknown artefacts ['fig1_avf_profil']" in str(exc.value)
+        assert "fig8_fairness" in str(exc.value)  # lists valid names
+        assert not (tmp_path / "out").exists()
+
+
+class TestLiveArtefactCache:
+    """The live-injection artefacts keep their strike batches in the
+    result cache's directory: a rerun on a warm cache strikes nothing."""
+
+    @pytest.mark.parametrize("module,knob,run,campaign", [
+        (validate_injection, "VALIDATION_INJECTIONS",
+         validate_injection.run_injection_validation, lambda r: r),
+        (protection_frontier, "FRONTIER_INJECTIONS",
+         protection_frontier.run_protection_frontier,
+         lambda r: r.validation.campaign),
+    ], ids=["injection_validation", "protection_frontier"])
+    def test_rerun_on_warm_cache_executes_no_batch(self, tmp_path,
+                                                   monkeypatch, module,
+                                                   knob, run, campaign):
+        monkeypatch.setattr(module, knob, 3)
+        first = campaign(run(TINY, ResultCache(cache_dir=tmp_path)))
+        second = campaign(run(TINY, ResultCache(cache_dir=tmp_path)))
+        assert first.batches_executed > 0
+        assert second.batches_executed == 0
+        assert second.batches_cached == first.batches_executed
+        assert second.summary() == first.summary()

@@ -21,17 +21,13 @@ import pytest
 import repro
 
 from repro.errors import ConfigError, ExecutionFailed, MissingResultError
-from repro.experiments.parallel import (
-    KNOWN_ARTEFACTS,
-    SimJob,
-    prewarm_artefacts,
-    run_jobs,
-)
-from repro.experiments.reproduce import ARTEFACTS, run_all
+from repro.experiments.reproduce import prewarm_artefacts, run_all
 from repro.experiments.runner import (
     ExperimentScale,
     ResultCache,
+    SimJob,
     atomic_write_json,
+    run_jobs,
 )
 from repro.resilience import (
     CHAOS_ENV_VAR,
@@ -402,9 +398,6 @@ class TestPlannerValidation:
                               TINY, ResultCache())
         assert "fig9_not_real" in str(exc.value)
         assert "fig1_avf_profile" in str(exc.value)  # lists valid names
-
-    def test_known_artefacts_match_reproduce_registry(self):
-        assert KNOWN_ARTEFACTS == frozenset(ARTEFACTS)
 
 
 class TestGracefulDrain:
